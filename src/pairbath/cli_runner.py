@@ -22,6 +22,7 @@ reproduces the run.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -45,6 +46,7 @@ from .dynamics_factored import (
 from .errors import CapacityError, ConfigError, ExtinctionError
 from .protocols import (
     FLIP_THRESHOLD,
+    PREPARATIONS,
     SpeciesBath,
     SpeciesGroup,
     coherence_trace,
@@ -63,12 +65,7 @@ from .spin_core import (
     plane_geometry,
 )
 
-_TOP_KEYS = {"seed", "geometry", "coupling", "protocol", "engine",
-             "scan", "verify", "sense"}
-_GEOMETRY_KINDS = ("chain", "dimer_chain", "plane", "explicit")
 _ENGINES = ("dense", "factored", "montecarlo")
-_PREPARATIONS = ("mixed", "polarized", "paired", "unpolarized")
-_VERIFY_PREPARATIONS = _PREPARATIONS + ("singlet",)
 
 
 # ---------------------------------------------------------------------------
@@ -128,296 +125,235 @@ def load_config(path) -> dict:
     return raw
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+# A field table lists (key, parser, default) in the order of the normalized
+# config, which manifest.yaml keeps. A parser takes (value, dotted path,
+# error list), returns the normalized value and raises ValueError for a bad
+# value; an absent key's default goes through the parser too. Null counts as
+# absent only for _REQUIRED and _OMIT keys; elsewhere the parser decides.
+_REQUIRED = object()    # absent key is a problem
+_OMIT = object()        # absent section stays out of the normalized config
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-class _Checker:
-    """Collects every problem before failing, each tagged with its key path."""
-
-    def __init__(self):
-        self.errors: list[str] = []
-
-    def err(self, path: str, msg: str) -> None:
-        self.errors.append(f"{path}: {msg}")
-
-    def section(self, raw: dict, name: str) -> dict | None:
-        sec = raw.get(name)
-        if sec is None:
-            return None
-        if not isinstance(sec, dict):
-            self.err(name, f"must be a mapping, got {type(sec).__name__}")
-            return None
-        return sec
-
-    def num(self, sec: dict, path: str, key: str, default=None,
-            minimum=None, strict_min=None):
-        v = sec.get(key, default)
-        if v is None:
-            self.err(f"{path}.{key}", "is required")
-            return default
-        if not _is_num(v):
-            self.err(f"{path}.{key}", f"must be a number, got {v!r}")
-            return default
-        if minimum is not None and v < minimum:
-            self.err(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-        if strict_min is not None and v <= strict_min:
-            self.err(f"{path}.{key}", f"must be > {strict_min}, got {v}")
-        return float(v)
-
-    def integer(self, sec: dict, path: str, key: str, default=None, minimum=None):
-        v = sec.get(key, default)
-        if v is None:
-            self.err(f"{path}.{key}", "is required")
-            return default
-        if not _is_int(v):
-            self.err(f"{path}.{key}", f"must be an integer, got {v!r}")
-            return default
-        if minimum is not None and v < minimum:
-            self.err(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-        return int(v)
-
-    def choice(self, sec: dict, path: str, key: str, options, default=None):
-        v = sec.get(key, default)
-        if v not in options:
-            self.err(f"{path}.{key}", f"must be one of {list(options)}, got {v!r}")
-            return default
-        return v
-
-    def grid(self, sec: dict, path: str, key: str, strict_min=None) -> dict | None:
-        v = sec.get(key)
-        if not isinstance(v, dict):
-            self.err(f"{path}.{key}",
-                     "must be a mapping with start, stop, points")
-            return None
-        start = self.num(v, f"{path}.{key}", "start", strict_min=strict_min)
-        stop = self.num(v, f"{path}.{key}", "stop", strict_min=strict_min)
-        points = self.integer(v, f"{path}.{key}", "points", minimum=1)
-        if start is not None and stop is not None and stop < start:
-            self.err(f"{path}.{key}.stop", f"must be >= start, got {stop} < {start}")
-            return None
-        if None in (start, stop, points):
-            return None
-        return {"start": start, "stop": stop, "points": points}
-
-
-def _check_geometry(ck: _Checker, raw: dict) -> dict | None:
-    geom = ck.section(raw, "geometry")
-    if geom is None:
-        if "geometry" not in raw:
-            ck.err("geometry", "is required for this command")
+def _walk(raw, table, path: str, errors: list) -> dict | None:
+    """Apply a field table to a mapping, appending "path: problem" lines."""
+    if not isinstance(raw, dict):
+        errors.append(f"{path}: must be a mapping, got {type(raw).__name__}")
         return None
-    kind = ck.choice(geom, "geometry", "kind", _GEOMETRY_KINDS)
-    if kind is None:
-        return None
-    out = {"kind": kind}
-    if kind == "chain":
-        out["n"] = ck.integer(geom, "geometry", "n", minimum=1)
-        out["spacing"] = ck.num(geom, "geometry", "spacing", strict_min=0.0)
-        out["z0"] = ck.num(geom, "geometry", "z0")
-        out["x0"] = ck.num(geom, "geometry", "x0", default=0.0)
-    elif kind == "dimer_chain":
-        out["n_pairs"] = ck.integer(geom, "geometry", "n_pairs", minimum=1)
-        out["pair_spacing"] = ck.num(geom, "geometry", "pair_spacing", strict_min=0.0)
-        out["dimer_gap"] = ck.num(geom, "geometry", "dimer_gap", strict_min=0.0)
-        out["z0"] = ck.num(geom, "geometry", "z0")
-        out["x0"] = ck.num(geom, "geometry", "x0", default=0.0)
-    elif kind == "plane":
-        out["n"] = ck.integer(geom, "geometry", "n", minimum=1)
-        box = geom.get("box")
-        if (not isinstance(box, (list, tuple)) or len(box) != 4
-                or not all(_is_num(b) for b in box)):
-            ck.err("geometry.box", "must be [xlo, xhi, ylo, yhi]")
-        else:
-            if not (box[1] > box[0] and box[3] > box[2]):
-                ck.err("geometry.box", f"describes an empty rectangle: {list(box)}")
-            out["box"] = [float(b) for b in box]
-        out["z0"] = ck.num(geom, "geometry", "z0")
-        out["seed"] = ck.integer(geom, "geometry", "seed", minimum=0)
-    else:  # explicit
-        g = geom.get("g_vectors")
-        ok = (isinstance(g, list) and g
-              and all(isinstance(row, (list, tuple)) and len(row) == 3
-                      and all(_is_num(x) for x in row) for row in g))
-        if not ok:
-            ck.err("geometry.g_vectors", "must be a nonempty list of [gx, gy, gz] rows")
-        else:
-            out["g_vectors"] = [[float(x) for x in row] for row in g]
+    keys = [key for key, _, _ in table]
+    for key in raw:
+        if key not in keys:
+            errors.append(f"{path}.{key}: unknown key" if path
+                          else f"{key}: unknown section")
+    out = {}
+    for key, parse, default in table:
+        sub = f"{path}.{key}" if path else key
+        v = raw.get(key)
+        if v is None and default in (_REQUIRED, _OMIT):
+            if default is _REQUIRED:
+                errors.append(f"{sub}: is required")
+            continue
+        try:
+            out[key] = parse(v if key in raw else default, sub, errors)
+        except ValueError as exc:
+            errors.append(f"{sub}: {exc}")
     return out
 
 
-def _geometry_spin_count(geom: dict | None) -> int | None:
-    if geom is None:
-        return None
-    kind = geom.get("kind")
-    if kind == "chain" or kind == "plane":
-        return geom.get("n")
-    if kind == "dimer_chain":
-        np_ = geom.get("n_pairs")
-        return None if np_ is None else 2 * np_
-    if kind == "explicit" and "g_vectors" in geom:
-        return len(geom["g_vectors"])
-    return None
+def _is_num(v) -> bool:
+    """A finite int or float; the bound also rejects nan and huge ints."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
-def _check_amplitude(ck: _Checker, sec: dict, path: str, key: str) -> list[float]:
-    v = sec.get(key)
-    if v is None:
-        s = 1.0 / np.sqrt(2.0)
-        return [float(s), 0.0]
+def _number(gt=None, ge=None, lt=None):
+    def parse(v, *_):
+        if not _is_num(v):
+            raise ValueError(f"must be a finite number, got {v!r}")
+        if gt is not None and not v > gt:
+            raise ValueError(f"must be > {gt}, got {v}")
+        if ge is not None and not v >= ge:
+            raise ValueError(f"must be >= {ge}, got {v}")
+        if lt is not None and not v < lt:
+            raise ValueError(f"must be < {lt}, got {v}")
+        return float(v)
+    return parse
+
+
+def _integer(ge: int):
+    def parse(v, *_):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"must be an integer, got {v!r}")
+        if v < ge:
+            raise ValueError(f"must be >= {ge}, got {v}")
+        return v
+    return parse
+
+
+def _choice(*options):
+    def parse(v, *_):
+        if v not in options:
+            raise ValueError(f"must be one of {list(options)}, got {v!r}")
+        return v
+    return parse
+
+
+def _or(special, inner):
+    """Pass `special` ("auto" or null) through; hand anything else to inner."""
+    return lambda v, *args: v if v == special else inner(v, *args)
+
+
+def _amplitude(v, *_) -> list[float]:
     if _is_num(v):
         return [float(v), 0.0]
-    if (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(_is_num(x) for x in v)):
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_num, v)):
         return [float(v[0]), float(v[1])]
-    ck.err(f"{path}.{key}", f"must be a number or [re, im], got {v!r}")
-    return [1.0 / np.sqrt(2.0), 0.0]
+    raise ValueError(f"must be a finite number or [re, im], got {v!r}")
 
 
-def _check_protocol(ck: _Checker, raw: dict) -> dict:
-    prot = ck.section(raw, "protocol") or {}
-    out = {}
-    for key in ("omega", "tau"):
-        v = prot.get(key, "auto")
-        if v == "auto":
-            out[key] = "auto"
-        elif _is_num(v):
-            if key == "tau" and v <= 0:
-                ck.err(f"protocol.{key}", f"must be > 0, got {v}")
-            elif key == "omega" and v < 0:
-                ck.err(f"protocol.{key}", f"must be >= 0, got {v}")
-            out[key] = float(v)
-        else:
-            ck.err(f"protocol.{key}", f"must be a number or 'auto', got {v!r}")
-            out[key] = "auto"
-    out["units"] = ck.choice(prot, "protocol", "units",
-                             ("absolute", "g_eff"), default="absolute")
-    out["measurements"] = ck.integer(prot, "protocol", "measurements",
-                                     default=100, minimum=1)
-    out["alpha"] = _check_amplitude(ck, prot, "protocol", "alpha")
-    out["beta"] = _check_amplitude(ck, prot, "protocol", "beta")
-    norm = (out["alpha"][0] ** 2 + out["alpha"][1] ** 2
-            + out["beta"][0] ** 2 + out["beta"][1] ** 2)
-    if abs(norm - 1.0) > 1e-12:
-        ck.err("protocol.alpha", f"|alpha|^2 + |beta|^2 must be 1, got {norm!r}")
-    out["dephasing_rate"] = ck.num(prot, "protocol", "dephasing_rate",
-                                   default=0.0, minimum=0.0)
-    rt = prot.get("readout_time")
-    if rt is None:
-        out["readout_time"] = None
-    elif _is_num(rt) and rt > 0:
-        out["readout_time"] = float(rt)
-    else:
-        ck.err("protocol.readout_time", f"must be a positive number or null, got {rt!r}")
-        out["readout_time"] = None
-    return out
+def _g_rows(v, *_) -> list[list[float]]:
+    if (isinstance(v, list) and v
+            and all(isinstance(row, (list, tuple)) and len(row) == 3
+                    and all(map(_is_num, row)) for row in v)):
+        return [[float(x) for x in row] for row in v]
+    raise ValueError("must be a nonempty list of finite [gx, gy, gz] rows")
 
 
-def _check_engine(ck: _Checker, raw: dict) -> dict:
-    eng = ck.section(raw, "engine") or {}
-    out = {
-        "name": ck.choice(eng, "engine", "name", _ENGINES, default="dense"),
-        "dense_limit": ck.integer(eng, "engine", "dense_limit", default=12, minimum=1),
-        "branch_cap": ck.integer(eng, "engine", "branch_cap", default=2 ** 20, minimum=2),
-        "samples": ck.integer(eng, "engine", "samples", default=200, minimum=1),
-        "sample_basis": ck.choice(eng, "engine", "sample_basis",
-                                  ("haar", "z"), default="haar"),
-        "initial_state": ck.choice(eng, "engine", "initial_state",
-                                   ("polarized", "haar"), default="polarized"),
-        "purity_pairs": ck.integer(eng, "engine", "purity_pairs", default=256, minimum=1),
-    }
-    return out
+def _box(v, *_) -> list[float]:
+    if not (isinstance(v, (list, tuple)) and len(v) == 4 and all(map(_is_num, v))):
+        raise ValueError("must be [xlo, xhi, ylo, yhi] with finite entries")
+    if not (v[1] > v[0] and v[3] > v[2]):
+        raise ValueError(f"describes an empty rectangle: {list(v)}")
+    return [float(b) for b in v]
 
 
-def _check_verify(ck: _Checker, raw: dict) -> dict | None:
-    v = ck.section(raw, "verify")
-    if v is None:
-        if "verify" not in raw:
-            ck.err("verify", "is required for this command")
-        return None
-    out = {
-        "g1": ck.num(v, "verify", "g1"),
-        "g2": ck.num(v, "verify", "g2"),
-        "omega": ck.num(v, "verify", "omega", strict_min=0.0),
-        "m_max": ck.integer(v, "verify", "m_max", default=50, minimum=1),
-    }
-    tv = v.get("tau_v")
-    if tv is None:
-        out["tau_v"] = None
-    elif _is_num(tv) and tv > 0:
-        out["tau_v"] = float(tv)
-    else:
-        ck.err("verify.tau_v", f"must be a positive number or null, got {tv!r}")
-        out["tau_v"] = None
-    th = v.get("threshold")
-    if th is None:
-        out["threshold"] = float(FLIP_THRESHOLD)
-    elif _is_num(th) and 0.0 < th < 1.0:
-        out["threshold"] = float(th)
-    else:
-        ck.err("verify.threshold", f"must lie in (0, 1), got {th!r}")
-        out["threshold"] = float(FLIP_THRESHOLD)
-    preps = v.get("preparations", ["unpolarized", "singlet"])
-    if (not isinstance(preps, list) or not preps
-            or any(p not in _VERIFY_PREPARATIONS for p in preps)):
-        ck.err("verify.preparations",
-               f"must be a nonempty list drawn from {list(_VERIFY_PREPARATIONS)}")
-        preps = ["unpolarized", "singlet"]
-    out["preparations"] = list(preps)
-    return out
+def _preparations(v, *_) -> list[str]:
+    options = PREPARATIONS + ("singlet",)
+    if not isinstance(v, list) or not v or any(p not in options for p in v):
+        raise ValueError(f"must be a nonempty list drawn from {list(options)}")
+    return list(v)
 
 
-def _check_sense(ck: _Checker, raw: dict) -> dict | None:
-    s = ck.section(raw, "sense")
-    if s is None:
-        if "sense" not in raw:
-            ck.err("sense", "is required for this command")
-        return None
-    out = {"m": ck.integer(s, "sense", "m", default=16, minimum=1)}
-    species = s.get("species")
-    if not isinstance(species, list) or not species:
-        ck.err("sense.species", "must be a nonempty list of species groups")
-        return None
-    groups = []
-    for idx, sp in enumerate(species):
-        path = f"sense.species[{idx}]"
-        if not isinstance(sp, dict):
-            ck.err(path, "must be a mapping")
-            continue
-        omega = ck.num(sp, path, "omega")
-        prep = ck.choice(sp, path, "preparation", _PREPARATIONS, default="mixed")
-        g = sp.get("g_vectors")
-        ok = (isinstance(g, list) and g
-              and all(isinstance(row, (list, tuple)) and len(row) == 3
-                      and all(_is_num(x) for x in row) for row in g))
-        if not ok:
-            ck.err(f"{path}.g_vectors", "must be a nonempty list of [gx, gy, gz] rows")
-            continue
-        if prep == "paired" and len(g) % 2 != 0:
-            ck.err(f"{path}.g_vectors", "paired preparation needs an even spin count")
-        groups.append({"omega": omega,
-                       "g_vectors": [[float(x) for x in row] for row in g],
-                       "preparation": prep})
-    out["species"] = groups
-    out["tau_grid"] = ck.grid(s, "sense", "tau_grid", strict_min=0.0)
-    if "time_grid" in s:
-        out["time_grid"] = ck.grid(s, "sense", "time_grid")
-    else:
-        out["time_grid"] = None
-    for key in ("omega", "epsilon"):
-        v = s.get(key)
-        if v is None:
-            out[key] = None
-        elif _is_num(v):
-            out[key] = float(v)
-        else:
-            ck.err(f"sense.{key}", f"must be a number, got {v!r}")
-            out[key] = None
-    return out
+def _mapping(table):
+    """Parser for a section; a null section takes every default."""
+    return lambda v, path, errors: _walk({} if v is None else v, table, path,
+                                         errors)
+
+
+def _grid(**bounds):
+    """Parser for a {start, stop, points} grid with stop >= start."""
+    table = (("start", _number(**bounds), _REQUIRED),
+             ("stop", _number(**bounds), _REQUIRED),
+             ("points", _integer(1), _REQUIRED))
+
+    def parse(v, path, errors):
+        grid = _walk(v, table, path, errors)
+        if grid and "start" in grid and "stop" in grid and grid["stop"] < grid["start"]:
+            errors.append(f"{path}.stop: must be >= start, "
+                          f"got {grid['stop']} < {grid['start']}")
+        return grid
+    return parse
+
+
+_KIND = ("kind", _choice("chain", "dimer_chain", "plane", "explicit"), _REQUIRED)
+_GEOMETRIES = {
+    "chain": (_KIND,
+              ("n", _integer(1), _REQUIRED),
+              ("spacing", _number(gt=0), _REQUIRED),
+              ("z0", _number(), _REQUIRED),
+              ("x0", _number(), 0.0)),
+    "dimer_chain": (_KIND,
+                    ("n_pairs", _integer(1), _REQUIRED),
+                    ("pair_spacing", _number(gt=0), _REQUIRED),
+                    ("dimer_gap", _number(gt=0), _REQUIRED),
+                    ("z0", _number(), _REQUIRED),
+                    ("x0", _number(), 0.0)),
+    "plane": (_KIND,
+              ("n", _integer(1), _REQUIRED),
+              ("box", _box, _REQUIRED),
+              ("z0", _number(), _REQUIRED),
+              ("seed", _integer(0), _REQUIRED)),
+    "explicit": (_KIND,
+                 ("g_vectors", _g_rows, _REQUIRED)),
+}
+
+
+def _geometry(v, path, errors):
+    """Parser for the geometry section, whose fields depend on its kind."""
+    kind = v.get("kind") if isinstance(v, dict) else None
+    table = _GEOMETRIES.get(kind) if isinstance(kind, str) else None
+    if table is None and isinstance(v, dict):
+        v, table = {"kind": kind}, (_KIND,)     # report the kind alone
+    return _walk(v, table or (), path, errors)
+
+
+_SPECIES = (
+    ("omega", _number(), _REQUIRED),
+    ("g_vectors", _g_rows, _REQUIRED),
+    ("preparation", _choice(*PREPARATIONS), "mixed"),
+)
+
+
+def _species(v, path, errors):
+    if not isinstance(v, list) or not v:
+        raise ValueError("must be a nonempty list of species groups")
+    groups = [_walk(sp, _SPECIES, f"{path}[{i}]", errors) for i, sp in enumerate(v)]
+    for i, grp in enumerate(groups):
+        if (grp and grp.get("preparation") == "paired"
+                and len(grp.get("g_vectors", ())) % 2):
+            errors.append(f"{path}[{i}].g_vectors: paired preparation needs "
+                          f"an even spin count")
+    return groups
+
+
+_CONFIG = (
+    ("seed", _integer(0), 0),
+    ("geometry", _geometry, _OMIT),
+    ("coupling", _mapping((("prefactor", _number(gt=0), 1.0),)), {}),
+    ("protocol", _mapping((
+        ("omega", _or("auto", _number(ge=0)), "auto"),
+        ("tau", _or("auto", _number(gt=0)), "auto"),
+        ("units", _choice("absolute", "g_eff"), "absolute"),
+        ("measurements", _integer(1), 100),
+        ("alpha", _amplitude, [1.0 / math.sqrt(2.0), 0.0]),
+        ("beta", _amplitude, [1.0 / math.sqrt(2.0), 0.0]),
+        ("dephasing_rate", _number(ge=0), 0.0),
+        ("readout_time", _or(None, _number(gt=0)), None),
+    )), {}),
+    ("engine", _mapping((
+        ("name", _choice(*_ENGINES), "dense"),
+        ("dense_limit", _integer(1), 12),
+        ("branch_cap", _integer(2), 2 ** 20),
+        ("samples", _integer(1), 200),
+        ("sample_basis", _choice("haar", "z"), "haar"),
+        ("initial_state", _choice("polarized", "haar"), "polarized"),
+        ("purity_pairs", _integer(1), 256),
+    )), {}),
+    ("scan", _mapping((
+        ("omega", _grid(gt=0), _REQUIRED),
+        ("tau", _grid(gt=0), _REQUIRED),
+        ("measurements", _integer(1), 40),
+    )), _OMIT),
+    ("verify", _mapping((
+        ("g1", _number(), _REQUIRED),
+        ("g2", _number(), _REQUIRED),
+        ("omega", _number(gt=0), _REQUIRED),
+        ("m_max", _integer(1), 50),
+        ("tau_v", _or(None, _number(gt=0)), None),
+        ("threshold", _number(gt=0, lt=1), float(FLIP_THRESHOLD)),
+        ("preparations", _preparations, ["unpolarized", "singlet"]),
+    )), _OMIT),
+    ("sense", _mapping((
+        ("m", _integer(1), 16),
+        ("species", _species, _REQUIRED),
+        ("tau_grid", _grid(gt=0), _REQUIRED),
+        ("time_grid", _or(None, _grid()), None),
+        ("omega", _or(None, _number()), None),
+        ("epsilon", _or(None, _number()), None),
+    )), _OMIT),
+)
+
+_COMMAND_SECTIONS = {"run": ("geometry",), "scan": ("geometry", "scan"),
+                     "verify": ("verify",), "sense": ("sense",)}
 
 
 def validate_config(raw: dict, command: str = "run") -> dict:
@@ -427,61 +363,30 @@ def validate_config(raw: dict, command: str = "run") -> dict:
     path of the offending key. Returns the normalized config with all
     defaults filled in; raises ConfigError if anything is wrong.
     """
-    ck = _Checker()
-    for key in raw:
-        if key not in _TOP_KEYS:
-            ck.err(key, "unknown section")
+    errors: list[str] = []
+    norm = _walk(raw, _CONFIG, "", errors)
+    required = _COMMAND_SECTIONS.get(command, ())
+    for name in required:
+        if raw.get(name) is None:
+            errors.append(f"{name}: is required for this command")
 
-    norm: dict = {}
-    seed = raw.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        ck.err("seed", f"must be a nonnegative integer, got {seed!r}")
-        seed = 0
-    norm["seed"] = seed
+    prot = norm.get("protocol") or {}
+    if "alpha" in prot and "beta" in prot:
+        amp2 = sum(x * x for x in prot["alpha"] + prot["beta"])
+        if abs(amp2 - 1.0) > 1e-12:
+            errors.append(f"protocol.alpha: |alpha|^2 + |beta|^2 must be 1, "
+                          f"got {amp2!r}")
+    geom = norm.get("geometry") or {}
+    n = len(geom.get("g_vectors", ())) or 2 * geom.get("n_pairs", 0) or geom.get("n")
+    eng = norm.get("engine") or {}
+    if ("geometry" in required and n is not None and eng.get("name") == "dense"
+            and eng.get("dense_limit") is not None and n > eng["dense_limit"]):
+        errors.append(f"engine.name: dense engine is limited to {eng['dense_limit']} "
+                      f"spins but the geometry has {n}; raise engine.dense_limit "
+                      f"or switch to factored or montecarlo")
 
-    needs_bath = command in ("run", "scan")
-    geom = _check_geometry(ck, raw) if (needs_bath or "geometry" in raw) else None
-    if geom is not None:
-        norm["geometry"] = geom
-    coup = ck.section(raw, "coupling") or {}
-    norm["coupling"] = {"prefactor": ck.num(coup, "coupling", "prefactor",
-                                            default=1.0, strict_min=0.0)}
-    norm["protocol"] = _check_protocol(ck, raw)
-    norm["engine"] = _check_engine(ck, raw)
-
-    if needs_bath:
-        n = _geometry_spin_count(geom)
-        if (n is not None and norm["engine"]["name"] == "dense"
-                and norm["engine"]["dense_limit"] is not None
-                and n > norm["engine"]["dense_limit"]):
-            ck.err("engine.name",
-                   f"dense engine is limited to {norm['engine']['dense_limit']} "
-                   f"spins but the geometry has {n}; raise engine.dense_limit "
-                   f"or switch to factored or montecarlo")
-
-    if command == "scan" or "scan" in raw:
-        sc = ck.section(raw, "scan")
-        if sc is None:
-            if command == "scan":
-                ck.err("scan", "is required for this command")
-        else:
-            norm["scan"] = {
-                "omega": ck.grid(sc, "scan", "omega", strict_min=0.0),
-                "tau": ck.grid(sc, "scan", "tau", strict_min=0.0),
-                "measurements": ck.integer(sc, "scan", "measurements",
-                                           default=40, minimum=1),
-            }
-    if command == "verify" or "verify" in raw:
-        v = _check_verify(ck, raw)
-        if v is not None:
-            norm["verify"] = v
-    if command == "sense" or "sense" in raw:
-        s = _check_sense(ck, raw)
-        if s is not None:
-            norm["sense"] = s
-
-    if ck.errors:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(ck.errors))
+    if errors:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
     return norm
 
 
@@ -784,7 +689,11 @@ def cmd_sense(cfg: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_selftest(indices=None) -> int:
-    from .acceptance import run_criteria
+    from .acceptance import _CRITERIA, run_criteria
+    known = [idx for idx, _, _ in _CRITERIA]
+    unknown = sorted(set(indices or ()) - set(known))
+    if unknown:
+        raise ConfigError(f"--criteria: no criterion {unknown}, choose from {known}")
     results = run_criteria(indices)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
@@ -829,14 +738,22 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             indices = None
             if args.criteria:
-                indices = [int(x) for x in args.criteria.split(",")]
+                try:
+                    indices = [int(x) for x in args.criteria.split(",")]
+                except ValueError:
+                    raise ConfigError(f"--criteria: expected comma-separated "
+                                      f"numbers, got {args.criteria!r}") from None
             return cmd_selftest(indices)
 
         raw = load_config(args.config)
         if args.seed is not None:
             raw["seed"] = args.seed
         if args.engine is not None:
-            raw.setdefault("engine", {})["name"] = args.engine
+            eng = raw.get("engine")
+            if eng is not None and not isinstance(eng, dict):
+                raise ConfigError(f"--engine: cannot set engine.name, engine is "
+                                  f"a {type(eng).__name__}, not a mapping")
+            raw["engine"] = {**(eng or {}), "name": args.engine}
         cfg = validate_config(raw, args.command)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

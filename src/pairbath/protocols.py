@@ -125,6 +125,28 @@ def _blocks_for(group: SpeciesGroup, offset: int) -> list:
     return [("one", rho2, offset + k) for k in range(group.n_spins)]
 
 
+def _bath_blocks(groups) -> list:
+    """Blocks of consecutive groups, indexed into the flat spin list."""
+    blocks = []
+    off = 0
+    for grp in groups:
+        blocks.extend(_blocks_for(grp, off))
+        off += grp.n_spins
+    return blocks
+
+
+def _block_overlap(blocks: list, ops: list) -> complex:
+    """prod over blocks of Tr[rho_block op_block], where a pair block's
+    operator is the Kronecker product of its two spins' operators."""
+    ov = 1.0 + 0.0j
+    for blk in blocks:
+        if blk[0] == "one":
+            ov *= np.trace(blk[1] @ ops[blk[2]])
+        else:
+            ov *= np.trace(blk[1] @ np.kron(ops[blk[2]], ops[blk[3]]))
+    return ov
+
+
 def sequence_flip_probability(spins: list, blocks: list, m: int, tau: float) -> float:
     """Central-spin flip probability after the m-block CPMG train.
 
@@ -133,15 +155,7 @@ def sequence_flip_probability(spins: list, blocks: list, m: int, tau: float) -> 
     single-spin and pair states.
     """
     ops = [_path_operators(g, om, tau, m) for g, om in spins]
-    ov = 1.0 + 0.0j
-    for blk in blocks:
-        if blk[0] == "one":
-            _, rho2, k = blk
-            ov *= np.trace(rho2 @ ops[k])
-        else:
-            _, rho4, i, j = blk
-            ov *= np.trace(rho4 @ np.kron(ops[i], ops[j]))
-    return float(0.5 * (1.0 - np.real(ov)))
+    return float(0.5 * (1.0 - np.real(_block_overlap(blocks, ops))))
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +196,11 @@ def verification_scan(g1: float, g2: float, omega: float,
     if tau_v is None:
         tau_v = np.pi / (4.0 * omega)
     PulseSequence(m=max(1, m_max), tau_v=tau_v)  # validates
-    spins = [(np.array([g1, 0.0, 0.0]), omega), (np.array([g2, 0.0, 0.0]), omega)]
-    if preparation == "paired":
-        preparation = "singlet"
-    if preparation == "singlet":
-        sing = phased_singlet(0.0)
-        blocks = [("pair", np.outer(sing, sing.conj()), 0, 1)]
-    elif preparation in ("unpolarized", "mixed", "polarized"):
-        rho2 = {"unpolarized": _XPLUS, "mixed": _MIXED2, "polarized": _ZUP}[preparation]
-        blocks = [("one", rho2, 0), ("one", rho2, 1)]
-    else:
-        raise ValueError(f"unknown preparation {preparation!r}")
+    # "singlet" names the paired preparation of the two-spin bath
+    group = SpeciesGroup(omega, [[g1, 0.0, 0.0], [g2, 0.0, 0.0]],
+                         "paired" if preparation == "singlet" else preparation)
+    spins = [(g, omega) for g in group.g_vectors]
+    blocks = _blocks_for(group, 0)
 
     curve = np.array([sequence_flip_probability(spins, blocks, m, tau_v)
                       for m in range(1, m_max + 1)])
@@ -233,22 +241,12 @@ def coherence_trace(bath_state, c, t_grid) -> np.ndarray:
             raise ValueError("a CouplingSet carries no preparation, pass a tag")
         else:
             groups = (SpeciesGroup(c.omega, c.g_vectors, bath_state),)
-        blocks = []
-        off = 0
-        for grp in groups:
-            blocks.extend(_blocks_for(grp, off))
-            off += grp.n_spins
+        blocks = _bath_blocks(groups)
         out = np.empty(len(t_grid))
         for it, t in enumerate(t_grid):
             pairs = [single_spin_propagators(g, om, t) for g, om in spins]
             ops = [p.u_minus.conj().T @ p.u_plus for p in pairs]
-            val = 1.0 + 0.0j
-            for blk in blocks:
-                if blk[0] == "one":
-                    val *= np.trace(blk[1] @ ops[blk[2]])
-                else:
-                    val *= np.trace(blk[1] @ np.kron(ops[blk[2]], ops[blk[3]]))
-            out[it] = abs(val)
+            out[it] = abs(_block_overlap(blocks, ops))
         return out
 
     rho = np.asarray(bath_state, dtype=complex)
@@ -282,11 +280,7 @@ def spectroscopy_scan(species: SpeciesBath, tau_grid, m: int = 16) -> Spectrosco
     as a function of the interrogation time tau, for the bath as prepared
     in the species group tags."""
     spins = species.spins()
-    blocks = []
-    off = 0
-    for grp in species.groups:
-        blocks.extend(_blocks_for(grp, off))
-        off += grp.n_spins
+    blocks = _bath_blocks(species.groups)
     tau_grid = np.asarray(tau_grid, dtype=float)
     signal = np.array([sequence_flip_probability(spins, blocks, m, t)
                        for t in tau_grid])

@@ -304,3 +304,78 @@ def test_main_selftest_single_criterion(capsys):
     assert main(["selftest", "--criteria", "1"]) == 0
     out = capsys.readouterr().out
     assert "criterion 1 [PASS]" in out
+
+
+ROUND_TRIP = {
+    "run": {"geometry": {"kind": "explicit",
+                         "g_vectors": [[0.8, 0.0, 0.2], [0.0, 0.7, -0.1]]},
+            "protocol": {"omega": 1.0, "tau": 0.4, "measurements": 3}},
+    "scan": {"geometry": {"kind": "explicit",
+                          "g_vectors": [[1.2, 0.0, 0.4], [0.0, 0.9, -0.2]]},
+             "scan": {"omega": {"start": 0.5, "stop": 1.5, "points": 2},
+                      "tau": {"start": 0.5, "stop": 1.5, "points": 2},
+                      "measurements": 3}},
+    "verify": {"verify": {"g1": 3.0, "g2": 4.0, "omega": 10.0, "m_max": 6}},
+    # no time_grid: the manifest records time_grid: null
+    "sense": {"sense": {"species": [{"omega": 11.0,
+                                     "g_vectors": [[0.45, 0.0, 0.12]]}],
+                        "tau_grid": {"start": 0.055, "stop": 0.105,
+                                     "points": 5}}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP))
+def test_manifest_round_trip_every_subcommand(tmp_path, command):
+    first, second = tmp_path / "first", tmp_path / "second"
+    p = _write_yaml(tmp_path / "c.yaml", ROUND_TRIP[command])
+    assert main([command, "--config", p, "--out", str(first)]) == 0
+    manifest = str(first / "manifest.yaml")
+    assert main([command, "--config", manifest, "--out", str(second)]) == 0
+    names = sorted(f.name for f in first.iterdir())
+    assert names == sorted(f.name for f in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command,text,path", [
+    ("run", "geometry: null\n", "geometry: is required"),
+    ("scan", "geometry:\nscan: {omega: {start: 1, stop: 2, points: 2},"
+             " tau: {start: 1, stop: 2, points: 2}}\n", "geometry: is required"),
+    ("verify", "verify: null\n", "verify: is required"),
+    ("sense", "sense:\n", "sense: is required"),
+    ("run", "geometry: {kind: explicit, g_vectors: [[1.0, 0.0, 0.0]]}\n"
+            "protocol: {tau: .nan}\n", "protocol.tau: must be a finite number"),
+    ("verify", "verify: {g1: .inf, g2: 4.0, omega: 10.0, m_max: 3}\n",
+     "verify.g1: must be a finite number"),
+    ("run", "geometry: {kind: explicit, g_vectors: [[1.0, 0.0, 0.0]]}\n"
+            "protocol: {measurments: 5}\n", "protocol.measurments: unknown key"),
+    ("run", "geometry: {kind: chain, n: 2, spacing: 1%s, z0: 100.0}\n" % ("0" * 400),
+     "geometry.spacing: must be a finite number"),
+], ids=["null-geometry-run", "null-geometry-scan", "null-verify", "null-sense",
+        "nan-tau", "inf-g1", "misspelt-key", "beyond-float-range"])
+def test_main_rejects_config_that_crashed_or_ran_wrongly(tmp_path, capsys, command,
+                                                        text, path):
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["selftest", "--criteria", "x"], "--criteria: expected comma-separated"),
+    (["selftest", "--criteria", "42"], "--criteria: no criterion [42]"),
+    (["run", "--engine", "factored"], "--engine: cannot set engine.name"),
+], ids=["criteria-not-numbers", "criteria-unknown", "engine-scalar"])
+def test_main_rejects_bad_arguments(tmp_path, capsys, monkeypatch, argv, message):
+    import pairbath.acceptance
+
+    def no_criteria(indices=None):
+        raise AssertionError("a criterion ran")
+    monkeypatch.setattr(pairbath.acceptance, "run_criteria", no_criteria)
+    p = _write_yaml(tmp_path / "c.yaml", {"geometry": dict(CHAIN), "engine": 5})
+    if argv[0] == "run":
+        argv = argv + ["--config", p, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
