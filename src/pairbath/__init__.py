@@ -18,7 +18,6 @@ from .dynamics_dense import (
     Trajectory,
     apply_projection,
     build_V,
-    dephase,
     maximally_mixed,
     pair_rdm,
     purity,

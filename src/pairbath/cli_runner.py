@@ -9,8 +9,9 @@ sense     spectroscopy + coherence comparison -> spectroscopy.csv,
           coherence.csv, manifest.yaml
 selftest  acceptance criteria, one PASS/FAIL line each
 
-Exit codes: 0 success, 2 configuration error, 3 trajectory extinction,
-4 branch-capacity overflow.
+Exit codes: 0 success, 2 configuration error, 3 trajectory extinction
+(a step's conditional probability fell below the extinction floor, for
+every engine), 4 branch cap or memory estimate exceeded.
 
 Tables are comma separated with a single header line, rows in a fixed
 deterministic order, and floats printed with 15 significant digits, so a
@@ -43,7 +44,7 @@ from .dynamics_factored import (
     reduced_density_matrix,
     run_factored,
 )
-from .errors import CapacityError, ConfigError, ExtinctionError
+from .errors import CapacityError, ConfigError
 from .protocols import (
     FLIP_THRESHOLD,
     PREPARATIONS,
@@ -451,10 +452,17 @@ def _protocol_config(cfg: dict, omega: float, tau: float) -> ProtocolConfig:
 # run
 # ---------------------------------------------------------------------------
 
-def _conditional(cum: np.ndarray) -> np.ndarray:
-    """Per-step ratios of a cumulative probability series; 0 after extinction."""
+def _until_extinct(cum: np.ndarray, floor: float) -> tuple[np.ndarray, str]:
+    """Conditional probabilities of a cumulative series (ratios of
+    consecutive entries) and the run's status. As in the dense round, the
+    run ends before the first step whose conditional probability is below
+    floor, so only the steps before it are returned."""
     prev = np.concatenate([[1.0], cum[:-1]])
-    return np.divide(cum, prev, out=np.zeros_like(cum), where=prev > 0)
+    cond = np.divide(cum, prev, out=np.zeros_like(cum), where=prev > 0)
+    low = np.flatnonzero(cond < floor)
+    if low.size:
+        return cond[:low[0]], "extinct"
+    return cond, "completed"
 
 
 def _pairs_rows(rdms: dict, n: int):
@@ -484,22 +492,19 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
         rdms = all_pair_rdms(traj.final_rho, n)
         status = traj.status
         final_purity = float(traj.purity[-1]) if steps else float("nan")
-        final_cum = float(traj.cumulative_p[-1]) if steps else float("nan")
     elif eng["name"] == "factored":
         if eng["initial_state"] == "haar":
             from .dynamics_factored import _haar_product
             states = _haar_product(np.random.default_rng(cfg["seed"]), n)
         else:
             states = np.tile(np.array([1.0, 0.0], dtype=complex), (n, 1))
-        ens, probs = run_factored(states, pcfg, c, branch_cap=eng["branch_cap"])
-        cond = _conditional(probs)
+        ens, cum = run_factored(states, pcfg, c, branch_cap=eng["branch_cap"])
+        cond, status = _until_extinct(cum, pcfg.extinction_floor)
         # conditioned pure states stay pure
-        traj_rows = [(s + 1, cond[s], probs[s], 1.0) for s in range(len(probs))]
+        traj_rows = [(s + 1, cond[s], cum[s], 1.0) for s in range(len(cond))]
         rdms = {(i, j): reduced_density_matrix(ens, i, j)
                 for i in range(n) for j in range(i + 1, n)}
-        status = "extinct" if probs[-1] < pcfg.extinction_floor else "completed"
         final_purity = 1.0
-        final_cum = float(probs[-1])
     else:
         pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
         res = mixed_state_monte_carlo(
@@ -507,15 +512,15 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
             pair_list=pair_list, basis=eng["sample_basis"],
             branch_cap=eng["branch_cap"], purity_pair_budget=eng["purity_pairs"])
         cum = res.success_probability
-        cond = _conditional(cum)
+        cond, status = _until_extinct(cum, pcfg.extinction_floor)
         traj_rows = [(s + 1, cond[s], cum[s], float("nan"))
-                     for s in range(len(cum))]
+                     for s in range(len(cond))]
         rdms = res.pair_rdms
-        status = "extinct" if cum[-1] < pcfg.extinction_floor else "completed"
         final_purity = float(res.purity_estimate)
-        final_cum = float(cum[-1])
         purity_estimate = float(res.purity_estimate)
 
+    # the last written row's, so a cut run reports the step it ended at
+    final_cum = float(traj_rows[-1][2]) if traj_rows else float("nan")
     _write_table(out_dir / "trajectory.csv",
                  ["step", "conditional_p", "cumulative_p", "purity"], traj_rows)
     pair_rows, asg = _pairs_rows(rdms, n)
@@ -767,9 +772,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ExtinctionError as exc:
-        print(f"extinction: {exc}", file=sys.stderr)
-        return 3
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 4

@@ -19,8 +19,7 @@ the two bare branches:
     rho' propto e V rho V^dag
          + (1-e)/2 (|alpha|^2 U+ rho U+^dag + |beta|^2 U- rho U-^dag)
 
-with e = exp(-gamma_d * readout_time). run_protocol uses this reduced
-form; dephase() exposes the underlying joint-state channel.
+with e = exp(-gamma_d * readout_time). run_protocol uses this reduced form.
 """
 
 from __future__ import annotations
@@ -86,7 +85,8 @@ def maximally_mixed(n: int) -> np.ndarray:
 
 
 def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))
+    """Tr(rho^2), as the Frobenius norm squared of a Hermitian rho."""
+    return float(np.vdot(rho, rho).real)
 
 
 def build_branch_operators(c: CouplingSet, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +112,11 @@ def build_V(c: CouplingSet, tau: float, alpha: complex = INV_SQRT2,
 def apply_projection(rho: np.ndarray, V: np.ndarray,
                      floor: float = EXTINCTION_FLOOR) -> tuple[np.ndarray, float]:
     """One conditional update: (V rho V^dag / p, p). Raises on extinction."""
-    out = V @ rho @ V.conj().T
+    return _renormalize(V @ rho @ V.conj().T, floor)
+
+
+def _renormalize(out: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+    """(out / p, p) with p = Tr out; raises ExtinctionError if p < floor."""
     p = float(np.real(np.trace(out)))
     if p < floor:
         raise ExtinctionError(probability=p)
@@ -120,31 +124,6 @@ def apply_projection(rho: np.ndarray, V: np.ndarray,
     # curb Hermiticity drift from repeated gemms
     out = 0.5 * (out + out.conj().T)
     return out, p
-
-
-def dephase(rho_joint: np.ndarray, gamma_d: float, t: float) -> np.ndarray:
-    """Central-spin dephasing channel on the joint (central x bath) state:
-
-    E(rho) = (1 - e)/2 * 1 (x) Tr_S(rho) + e * rho,   e = exp(-gamma_d t).
-
-    Trace preserving, purity non-increasing; fixed point replaces the
-    central spin by its maximally mixed state.
-    """
-    if gamma_d < 0:
-        raise ConfigError(f"gamma_d must be >= 0, got {gamma_d}")
-    dim = rho_joint.shape[0]
-    if dim % 2 != 0:
-        raise ValueError(f"joint state must have even dimension, got {dim}")
-    e = np.exp(-gamma_d * t)
-    if e == 1.0:
-        return rho_joint.copy()
-    half = dim // 2
-    blocks = rho_joint.reshape(2, half, 2, half)
-    bath = blocks[0, :, 0, :] + blocks[1, :, 1, :]  # Tr_S
-    out = e * rho_joint
-    out[:half, :half] += 0.5 * (1.0 - e) * bath
-    out[half:, half:] += 0.5 * (1.0 - e) * bath
-    return out
 
 
 def pair_rdm(rho: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
@@ -173,8 +152,8 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     With dephasing off the final state is V^M rho0 V^dag^M normalized and
     the cumulative probability is Tr[V^M rho0 V^dag^M]. With dephasing on,
     each round applies the reduced evolve/dephase/project map derived in
-    the module docstring. Extinction ends the trajectory early with
-    status "extinct" instead of renormalizing numerical noise.
+    the module docstring. A round whose p is below cfg.extinction_floor
+    ends the trajectory before it, with status "extinct".
     """
     up, um = build_branch_operators(c, cfg.tau)
     wa, wb = abs(cfg.alpha) ** 2, abs(cfg.beta) ** 2
@@ -182,28 +161,24 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     e = np.exp(-cfg.dephasing_rate * cfg.effective_readout_time)
 
     rho = np.array(rho0, dtype=complex)
-    cond, cum, purs = [], [], []
-    cumulative = 1.0
+    cond, purs = [], []
     status, extinct_step = "completed", None
     for step in range(1, cfg.measurements + 1):
-        out = V @ rho @ V.conj().T
-        p = float(np.real(np.trace(out)))
-        if e < 1.0:
-            leak = wa * (up @ rho @ up.conj().T) + wb * (um @ rho @ um.conj().T)
-            out = e * out + 0.5 * (1.0 - e) * leak
-            p = e * p + 0.5 * (1.0 - e)
-        if p < cfg.extinction_floor:
+        try:
+            if e < 1.0:
+                leak = wa * (up @ rho @ up.conj().T) + wb * (um @ rho @ um.conj().T)
+                out = e * (V @ rho @ V.conj().T) + 0.5 * (1.0 - e) * leak
+                rho, p = _renormalize(out, cfg.extinction_floor)
+            else:
+                rho, p = apply_projection(rho, V, cfg.extinction_floor)
+        except ExtinctionError:
             status, extinct_step = "extinct", step
             break
-        rho = out / p
-        rho = 0.5 * (rho + rho.conj().T)
-        cumulative *= p
         cond.append(p)
-        cum.append(cumulative)
         purs.append(purity(rho))
     return Trajectory(
         conditional_p=np.array(cond),
-        cumulative_p=np.array(cum),
+        cumulative_p=np.cumprod(cond),
         purity=np.array(purs),
         final_rho=rho,
         status=status,

@@ -12,17 +12,19 @@ diagonal blocks of each extension step trivial (G'_{00} = G'_{11} = G), so
 one extension costs a single 2x2-sandwich gemm per spin for the cross
 block, O(4^m N) in memory. No truncation is applied; exceeding the branch
 cap raises CapacityError instead of silently biasing the post-selected
-statistics.
+statistics. Before the first round run_factored checks that the last two
+Gram caches fit in physical memory.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics_dense import ProtocolConfig
-from .errors import CapacityError
+from .errors import CapacityError, ConfigError
 from .spin_core import CouplingSet, PropagatorPair, branch_propagators
 
 BRANCH_CAP = 2**20
@@ -170,8 +172,24 @@ def run_factored(spin_states, cfg: ProtocolConfig, c: CouplingSet,
     """Propagate one product state through cfg.measurements rounds.
 
     Returns the final ensemble and the cumulative success probability
-    after each round.
+    after each round. Readout dephasing is not modelled, so a config that
+    asks for it is rejected rather than run without it.
     """
+    if cfg.dephasing_rate > 0:
+        raise ConfigError(
+            f"dephasing_rate {cfg.dephasing_rate!r}: the factored and montecarlo "
+            "engines do not model readout dephasing; use the dense engine")
+    n, rounds = len(spin_states), cfg.measurements
+    # bytes of the last Gram cache and the one it is built from
+    need = n * 16 * (4**rounds + 4 ** (rounds - 1))
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        from decimal import Decimal   # need can exceed the float range
+        raise CapacityError(
+            f"{rounds} rounds on {n} spins need about "
+            f"{Decimal(need) / 2**30:.3g} GiB of Gram caches, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory; use fewer measurements "
+            "or the dense engine")
     pairs = branch_propagators(c, cfg.tau)
     ens = from_product_state(spin_states)
     probs = np.empty(cfg.measurements)
@@ -214,7 +232,7 @@ def mixed_state_monte_carlo(c: CouplingSet, cfg: ProtocolConfig, samples: int,
     n = c.n_spins
     streams = np.random.SeedSequence(seed).spawn(samples)
 
-    # cross-sample purity needs k ensembles kept around, k(k-1)/2 >= budget
+    # cross-sample purity needs k samples kept around, k(k-1)/2 >= budget
     keep = 2
     while keep * (keep - 1) // 2 < purity_pair_budget and keep < samples:
         keep += 1
@@ -223,7 +241,7 @@ def mixed_state_monte_carlo(c: CouplingSet, cfg: ProtocolConfig, samples: int,
     norm_sum = 0.0
     rdm_num = {p: np.zeros((4, 4), dtype=complex) for p in (pair_list or [])}
     rdm_den = {p: 0.0 for p in (pair_list or [])}
-    ensembles = []
+    kept = []   # (vectors, weights) of the first samples, for the purity
     for s in range(samples):
         rng = np.random.default_rng(streams[s])
         ens, probs = run_factored(draw(rng, n), cfg, c, branch_cap=branch_cap)
@@ -233,8 +251,8 @@ def mixed_state_monte_carlo(c: CouplingSet, cfg: ProtocolConfig, samples: int,
             num, den = _rdm_unnormalized(ens, *p)
             rdm_num[p] += num
             rdm_den[p] += den
-        if len(ensembles) < keep:
-            ensembles.append(ens)
+        if len(kept) < keep:
+            kept.append((ens.vectors, ens.weights))
     cum /= samples
 
     pair_rdms = {}
@@ -242,22 +260,23 @@ def mixed_state_monte_carlo(c: CouplingSet, cfg: ProtocolConfig, samples: int,
         rho = num / rdm_den[p]
         pair_rdms[p] = 0.5 * (rho + rho.conj().T)
 
-    pur = _purity_from_samples(ensembles, budget=purity_pair_budget,
+    pur = _purity_from_samples(kept, budget=purity_pair_budget,
                                mean_norm=norm_sum / samples)
     return MonteCarloResult(success_probability=cum, pair_rdms=pair_rdms,
                             purity_estimate=pur, samples=samples)
 
 
-def _cross_gram(e1: BranchEnsemble, e2: BranchEnsemble) -> complex:
-    """<V^m psi_1 | V^m psi_2> across two ensembles with the same history."""
-    b1, b2 = e1.n_branches, e2.n_branches
-    prod = np.ones((b1, b2), dtype=complex)
-    for k in range(e1.n_spins):
-        prod *= e1.vectors[:, k, :].conj() @ e2.vectors[:, k, :].T
-    return e1.weights.conj() @ prod @ e2.weights
+def _cross_gram(s1: tuple, s2: tuple) -> complex:
+    """<V^m psi_1 | V^m psi_2> across two samples with the same history,
+    each given as the (vectors, weights) of its ensemble."""
+    (v1, w1), (v2, w2) = s1, s2
+    prod = np.ones((len(w1), len(w2)), dtype=complex)
+    for k in range(v1.shape[1]):
+        prod *= v1[:, k, :].conj() @ v2[:, k, :].T
+    return w1.conj() @ prod @ w2
 
 
-def _purity_from_samples(ensembles: list, budget: int, mean_norm: float) -> float:
+def _purity_from_samples(samples: list, budget: int, mean_norm: float) -> float:
     """Cross-sample purity estimate of the conditional state.
 
     |<V^m psi_a | V^m psi_b>|^2 averaged over distinct sample pairs is an
@@ -266,12 +285,12 @@ def _purity_from_samples(ensembles: list, budget: int, mean_norm: float) -> floa
     the normalized purity. The pair set is truncated deterministically to
     the budget; the ratio makes this an approximate lower-bound estimate.
     """
-    r = len(ensembles)
+    r = len(samples)
     if r < 2 or mean_norm <= 0:
         return float("nan")
     pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
     pairs = pairs[:budget]
     acc = 0.0
     for a, b in pairs:
-        acc += abs(_cross_gram(ensembles[a], ensembles[b])) ** 2
+        acc += abs(_cross_gram(samples[a], samples[b])) ** 2
     return float(acc / len(pairs) / mean_norm**2)

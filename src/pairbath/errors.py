@@ -6,16 +6,17 @@ class ConfigError(ValueError):
 
 
 class ExtinctionError(RuntimeError):
-    """Conditional probability fell below the extinction floor. Exit code 3."""
+    """A dense conditional round's probability fell below the extinction floor.
 
-    def __init__(self, probability: float, step: int | None = None):
-        self.step = step
+    run_protocol catches it and ends the trajectory with status "extinct";
+    the CLI exits 3 on that status, whatever the engine.
+    """
+
+    def __init__(self, probability: float):
         self.probability = probability
-        where = f" at step {step}" if step is not None else ""
-        super().__init__(
-            f"trajectory extinct{where}: conditional probability "
-            f"{probability:.3e} below floor")
+        super().__init__(f"trajectory extinct: conditional probability "
+                         f"{probability:.3e} below floor")
 
 
 class CapacityError(RuntimeError):
-    """Branch ensemble exceeded its configured cap. Exit code 4."""
+    """Branch cap or memory estimate exceeded before a run. Exit code 4."""

@@ -241,6 +241,62 @@ def test_main_exit_code_capacity(tmp_path, capsys):
     assert "capacity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau,rc,rows", [
+    # conditional p = cos^2(tau) = 0.05 at every step, so the cumulative p
+    # ends near 5e-15, below the floor, while no single step is
+    (1.3452829208967654, 0, 11),
+    # V = 0: the first step's conditional p is 0
+    (float(np.pi / 2), 3, 0),
+], ids=["small-cumulative", "zero-conditional"])
+@pytest.mark.parametrize("engine", ["dense", "factored", "montecarlo"])
+def test_extinction_rule_same_for_every_engine(tmp_path, engine, tau, rc, rows):
+    doc = {"geometry": {"kind": "explicit", "g_vectors": [[1.0, 0.0, 0.0]]},
+           "protocol": {"omega": 0.0, "tau": tau, "measurements": 11},
+           "engine": {"name": engine, "samples": 4}}
+    p = _write_yaml(tmp_path / "c.yaml", doc)
+    assert main(["run", "--config", p, "--out", str(tmp_path)]) == rc
+    man = yaml.safe_load((tmp_path / "manifest.yaml").read_text())
+    assert man["resolved"]["status"] == ("completed" if rc == 0 else "extinct")
+    assert man["resolved"]["steps_completed"] == rows
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == rows + 1
+
+
+def test_factored_engines_reject_dephasing(tmp_path, capsys):
+    doc = {"geometry": {"kind": "explicit",
+                        "g_vectors": [[0.5, 0.1, -0.3], [0.2, 0.0, 0.4]]},
+           "protocol": {"omega": 1.0, "tau": 0.3, "measurements": 3,
+                        "dephasing_rate": 5.0},
+           "engine": {"samples": 4}}
+    p = _write_yaml(tmp_path / "c.yaml", doc)
+    for engine in ("factored", "montecarlo"):
+        out = tmp_path / engine
+        assert main(["run", "--config", p, "--out", str(out),
+                     "--engine", engine]) == 2
+        assert "dephasing" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+    assert main(["run", "--config", p, "--out", str(tmp_path / "dense"),
+                 "--engine", "dense"]) == 0
+
+
+def test_factored_memory_checked_before_allocating(tmp_path, capsys, monkeypatch):
+    import pairbath.dynamics_factored
+
+    def no_rounds(*args, **kwargs):
+        raise AssertionError("a round ran")
+    monkeypatch.setattr(pairbath.dynamics_factored, "extend", no_rounds)
+    # default measurements: 100, about 4^100 Gram entries per spin
+    doc = {"geometry": {"kind": "explicit",
+                        "g_vectors": [[0.5, 0.1, -0.3], [0.2, 0.0, 0.4]]},
+           "protocol": {"omega": 1.0, "tau": 0.3},
+           "engine": {"name": "factored"}}
+    p = _write_yaml(tmp_path / "c.yaml", doc)
+    assert main(["run", "--config", p, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "GiB" in err and "fewer measurements or the dense engine" in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_main_seed_and_engine_overrides(tmp_path):
     doc = {"seed": 1,
            "geometry": {"kind": "explicit",

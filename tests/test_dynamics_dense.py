@@ -9,7 +9,6 @@ from pairbath.dynamics_dense import (
     all_pair_rdms,
     apply_projection,
     build_V,
-    dephase,
     maximally_mixed,
     pair_rdm,
     purity,
@@ -157,51 +156,6 @@ def test_apply_projection_extinction():
     v = build_V(c, np.pi / 2)
     with pytest.raises(ExtinctionError, match="below floor"):
         apply_projection(maximally_mixed(1), v)
-
-
-def test_dephase_gamma_zero_is_identity():
-    rng = np.random.default_rng(17)
-    rho = _random_mixed(rng, 8)
-    assert np.abs(dephase(rho, 0.0, 5.0) - rho).max() == 0.0
-
-
-def test_dephase_long_time_fixed_point():
-    # t -> inf: central spin fully mixed, bath marginal untouched
-    rng = np.random.default_rng(18)
-    rho = _random_mixed(rng, 8)
-    out = dephase(rho, 3.0, 1e4)
-    half = 4
-    bath = rho[:half, :half] + rho[half:, half:]
-    want = 0.5 * np.kron(np.eye(2), bath)
-    assert np.abs(out - want).max() < 1e-12
-
-
-def test_dephase_half_mix_point():
-    # gamma t = ln 2 makes e^{-gamma t} = 1/2: out = 1/4 (1 x Tr_S rho) + rho/2
-    rng = np.random.default_rng(19)
-    rho = _random_mixed(rng, 4)
-    out = dephase(rho, 1.0, np.log(2))
-    bath = rho[:2, :2] + rho[2:, 2:]
-    want = 0.25 * np.kron(np.eye(2), bath) + 0.5 * rho
-    assert np.abs(out - want).max() < 1e-13
-
-
-def test_dephase_preserves_trace_and_hermiticity():
-    rng = np.random.default_rng(20)
-    rho = _random_mixed(rng, 8)
-    out = dephase(rho, 0.8, 0.6)
-    assert abs(np.trace(out) - 1.0) < 1e-13
-    assert np.abs(out - out.conj().T).max() < 1e-13
-    # eigenvalues stay a distribution
-    assert np.linalg.eigvalsh(out).min() > -1e-12
-
-
-def test_dephase_input_validation():
-    rho = maximally_mixed(2)
-    with pytest.raises(ConfigError, match="gamma"):
-        dephase(rho, -0.5, 1.0)
-    with pytest.raises(ValueError, match="even"):
-        dephase(np.eye(3) / 3, 0.5, 1.0)
 
 
 def test_run_protocol_eigenvector_fixed_point():
