@@ -36,7 +36,10 @@ from .analysis import concurrence, detect_pairing
 from .dynamics_dense import (
     ProtocolConfig,
     all_pair_rdms,
+    build_V,
+    final_state_by_squaring,
     maximally_mixed,
+    purity,
     run_protocol,
 )
 from .dynamics_factored import (
@@ -44,7 +47,7 @@ from .dynamics_factored import (
     reduced_density_matrix,
     run_factored,
 )
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, ExtinctionError
 from .protocols import (
     FLIP_THRESHOLD,
     PREPARATIONS,
@@ -380,11 +383,17 @@ def validate_config(raw: dict, command: str = "run") -> dict:
     geom = norm.get("geometry") or {}
     n = len(geom.get("g_vectors", ())) or 2 * geom.get("n_pairs", 0) or geom.get("n")
     eng = norm.get("engine") or {}
-    if ("geometry" in required and n is not None and eng.get("name") == "dense"
-            and eng.get("dense_limit") is not None and n > eng["dense_limit"]):
-        errors.append(f"engine.name: dense engine is limited to {eng['dense_limit']} "
-                      f"spins but the geometry has {n}; raise engine.dense_limit "
-                      f"or switch to factored or montecarlo")
+    limit = eng.get("dense_limit")
+    if "geometry" in required and n is not None and limit is not None and n > limit:
+        if command == "scan":
+            # scan runs the dense engine whatever engine.name says
+            errors.append(f"engine.dense_limit: scan runs the dense engine, which "
+                          f"is limited to {limit} spins, but the geometry has {n}; "
+                          f"raise engine.dense_limit or use fewer spins")
+        elif eng.get("name") == "dense":
+            errors.append(f"engine.name: dense engine is limited to {limit} "
+                          f"spins but the geometry has {n}; raise engine.dense_limit "
+                          f"or switch to factored or montecarlo")
 
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
@@ -554,16 +563,28 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def _scan_point(args):
+    """(purity, cumulative_p, n_pairs, status) of one grid point.
+
+    The final state comes from V^M by squaring. When the final cumulative
+    p is below the extinction floor, stepping decides whether a round went
+    extinct and which row was the last one written.
+    """
     g_rows, omega, tau, measurements = args
     c = CouplingSet(np.asarray(g_rows, dtype=float), omega)
     cfg = ProtocolConfig(omega=omega, tau=tau, measurements=measurements)
-    traj = run_protocol(maximally_mixed(c.n_spins), cfg, c)
-    rdms = all_pair_rdms(traj.final_rho, c.n_spins)
-    asg = detect_pairing(rdms, c.n_spins)
+    rho0 = maximally_mixed(c.n_spins)
+    try:
+        rho, cum = final_state_by_squaring(rho0, build_V(c, tau), measurements,
+                                           cfg.extinction_floor)
+        pur, status = purity(rho), "completed"
+    except ExtinctionError:
+        traj = run_protocol(rho0, cfg, c)
+        rho, status = traj.final_rho, traj.status
+        cum = float(traj.cumulative_p[-1]) if traj.steps else float("nan")
+        pur = float(traj.purity[-1]) if traj.steps else float("nan")
+    asg = detect_pairing(all_pair_rdms(rho, c.n_spins), c.n_spins)
     n_pairs = sum(1 for m in asg.matches if m.fidelity > 0.9)
-    cum = float(traj.cumulative_p[-1]) if traj.steps else float("nan")
-    pur = float(traj.purity[-1]) if traj.steps else float("nan")
-    return pur, cum, n_pairs, traj.status
+    return pur, cum, n_pairs, status
 
 
 def _linspace(grid: dict) -> np.ndarray:

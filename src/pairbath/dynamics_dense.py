@@ -20,20 +20,32 @@ the two bare branches:
          + (1-e)/2 (|alpha|^2 U+ rho U+^dag + |beta|^2 U- rho U-^dag)
 
 with e = exp(-gamma_d * readout_time). run_protocol uses this reduced form.
+
+Without dephasing the final state needs only W = V^M:
+rho_M = W rho0 W^dag / P_M with P_M = Tr[W rho0 W^dag], the cumulative
+probability. final_state_by_squaring builds W by repeated squaring, in
+O(log M) products instead of M sandwiches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ExtinctionError
+from .errors import ConfigError, ExtinctionError, require_memory
 from .spin_core import CouplingSet, branch_propagators
 
 EXTINCTION_FLOOR = 1e-14
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# d x d complex matrices the dense engine holds at its peak: U+, U-, V,
+# rho0 and rho, and six temporaries of a dephased round. Peaks read with
+# tracemalloc at N=8: 11.0 for a dephased run_protocol, 8.1 without
+# dephasing, 7.1 for a scan point through final_state_by_squaring.
+DENSE_MATRICES = 11
 
 
 @dataclass(frozen=True)
@@ -79,7 +91,18 @@ class Trajectory:
         return len(self.conditional_p)
 
 
+def require_dense_memory(n: int) -> None:
+    """Raise CapacityError if the dense engine's matrices for n spins would
+    not fit in physical memory."""
+    require_memory(DENSE_MATRICES * 16 * 4**n,
+                   f"the dense engine's {DENSE_MATRICES} matrices of "
+                   f"2^{n} x 2^{n} complex entries",
+                   "use fewer spins, or for run the factored or montecarlo engine")
+
+
 def maximally_mixed(n: int) -> np.ndarray:
+    """The dense engine's mixed start; its memory is checked first."""
+    require_dense_memory(n)
     dim = 2**n
     return np.eye(dim, dtype=complex) / dim
 
@@ -90,7 +113,12 @@ def purity(rho: np.ndarray) -> float:
 
 
 def build_branch_operators(c: CouplingSet, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense U+ and U- on the full bath, as Kronecker chains of the per-spin pairs."""
+    """Dense U+ and U- on the full bath, as Kronecker chains of the per-spin pairs.
+
+    Raises CapacityError, before any propagator is built, if the dense
+    engine's matrices would not fit in physical memory.
+    """
+    require_dense_memory(c.n_spins)
     up = np.eye(1, dtype=complex)
     um = np.eye(1, dtype=complex)
     for pair in branch_propagators(c, tau):
@@ -126,15 +154,68 @@ def _renormalize(out: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
     return out, p
 
 
+def final_state_by_squaring(rho0: np.ndarray, V: np.ndarray, measurements: int,
+                            floor: float = EXTINCTION_FLOOR) -> tuple[np.ndarray, float]:
+    """(rho_M, P_M) after M rounds without dephasing, from W = V^M by squaring.
+
+    Each product of the binary powering is divided by its Frobenius norm
+    and the log of that norm is accumulated, so W never underflows. Then
+    P_M = Tr[W rho0 W^dag] exp(2 logscale). Every conditional p of the
+    rounds satisfies p_k = P_k / P_(k-1) >= P_M, so when P_M >= floor no
+    round is extinct and the result is that of stepping. Otherwise this
+    raises ExtinctionError with P_M, and only stepping (run_protocol) can
+    tell whether and where a round went extinct.
+    """
+    if measurements < 1:
+        raise ConfigError(f"measurements must be >= 1, got {measurements}")
+
+    def rescaled(a: np.ndarray) -> tuple[np.ndarray, float]:
+        s = float(np.linalg.norm(a))
+        if s == 0.0:
+            raise ExtinctionError(probability=0.0)
+        a /= s
+        return a, math.log(s)
+
+    power, log_power = V, 0.0          # V^(2^k) / exp(log_power)
+    w = log_w = None                   # product of the powers of M's set bits
+    m = measurements
+    while True:
+        if m & 1:
+            if w is None:
+                w, log_w = power, log_power
+            else:
+                w, s = rescaled(w @ power)
+                log_w += log_power + s
+        m >>= 1
+        if not m:
+            break
+        power, s = rescaled(power @ power)
+        log_power = 2.0 * log_power + s
+
+    out = w @ rho0 @ w.conj().T
+    p = float(np.real(np.trace(out))) * math.exp(2.0 * log_w)
+    if not p >= floor:
+        raise ExtinctionError(probability=p)
+    rho, _ = _renormalize(out, 0.0)    # the floor is on P_M, tested above
+    return rho, p
+
+
 def pair_rdm(rho: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Two-spin reduced density matrix of spins (i, j), basis order (i, j)."""
+    """Two-spin reduced density matrix of spins (i, j), basis order (i, j).
+
+    The trace over the other spins is an einsum diagonal on a 10-axis view
+    of rho, spins split as (before lo, lo, between, hi, after hi), so no
+    copy of rho is made.
+    """
     if i == j:
         raise ValueError(f"need two distinct spins, got ({i}, {j})")
-    t = rho.reshape((2,) * (2 * n))
-    rest = [k for k in range(n) if k not in (i, j)]
-    perm = [i, j] + rest + [n + i, n + j] + [n + k for k in rest]
-    t = t.transpose(perm).reshape(4, 2 ** (n - 2), 4, 2 ** (n - 2))
-    out = np.einsum("asbs->ab", t)
+    lo, hi = min(i, j), max(i, j)
+    a, b, c = 2**lo, 2 ** (hi - lo - 1), 2 ** (n - hi - 1)
+    t = rho.reshape(a, 2, b, 2, c, a, 2, b, 2, c)
+    out = np.einsum("xiyjzxkylz->ijkl", t)
+    if i > j:
+        out = out.transpose(1, 0, 3, 2)
+    out = out.reshape(4, 4)
     return 0.5 * (out + out.conj().T)
 
 

@@ -18,13 +18,12 @@ Gram caches fit in physical memory.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics_dense import ProtocolConfig
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, require_memory
 from .spin_core import CouplingSet, PropagatorPair, branch_propagators
 
 BRANCH_CAP = 2**20
@@ -181,15 +180,9 @@ def run_factored(spin_states, cfg: ProtocolConfig, c: CouplingSet,
             "engines do not model readout dephasing; use the dense engine")
     n, rounds = len(spin_states), cfg.measurements
     # bytes of the last Gram cache and the one it is built from
-    need = n * 16 * (4**rounds + 4 ** (rounds - 1))
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        from decimal import Decimal   # need can exceed the float range
-        raise CapacityError(
-            f"{rounds} rounds on {n} spins need about "
-            f"{Decimal(need) / 2**30:.3g} GiB of Gram caches, more than the "
-            f"{have / 2**30:.3g} GiB of physical memory; use fewer measurements "
-            "or the dense engine")
+    require_memory(n * 16 * (4**rounds + 4 ** (rounds - 1)),
+                   f"the Gram caches of {rounds} rounds on {n} spins",
+                   "use fewer measurements or the dense engine")
     pairs = branch_propagators(c, cfg.tau)
     ens = from_product_state(spin_states)
     probs = np.empty(cfg.measurements)

@@ -1,4 +1,7 @@
-"""Shared error types, mapped to CLI exit codes by cli_runner."""
+"""Shared error types, mapped to CLI exit codes by cli_runner, and the
+memory check every engine runs before it allocates."""
+
+import os
 
 
 class ConfigError(ValueError):
@@ -10,13 +13,30 @@ class ExtinctionError(RuntimeError):
 
     run_protocol catches it and ends the trajectory with status "extinct";
     the CLI exits 3 on that status, whatever the engine.
+    final_state_by_squaring raises it when the cumulative probability of
+    all rounds is below the floor, which leaves open whether a single
+    round was.
     """
 
     def __init__(self, probability: float):
         self.probability = probability
-        super().__init__(f"trajectory extinct: conditional probability "
+        super().__init__(f"trajectory extinct: probability "
                          f"{probability:.3e} below floor")
 
 
 class CapacityError(RuntimeError):
     """Branch cap or memory estimate exceeded before a run. Exit code 4."""
+
+
+def require_memory(need: int, what: str, remedy: str) -> None:
+    """Raise CapacityError if need bytes exceed the machine's physical memory.
+
+    The message reads "<what> need about X GiB, more than the Y GiB of
+    physical memory; <remedy>".
+    """
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        from decimal import Decimal   # need can exceed the float range
+        raise CapacityError(
+            f"{what} need about {Decimal(need) / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory; {remedy}")

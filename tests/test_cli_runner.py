@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 import yaml
 
+from pairbath.analysis import detect_pairing
+from pairbath.dynamics_dense import (ProtocolConfig, all_pair_rdms,
+                                     maximally_mixed, run_protocol)
 from pairbath.errors import ConfigError
+from pairbath.spin_core import CouplingSet
 from pairbath.cli_runner import (
     _fmt,
+    _scan_point,
     cmd_run,
     cmd_scan,
     load_config,
@@ -295,6 +300,86 @@ def test_factored_memory_checked_before_allocating(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert "GiB" in err and "fewer measurements or the dense engine" in err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+BIG_BATH = {"kind": "explicit",
+            "g_vectors": [[0.5, 0.1 * k, -0.3] for k in range(16)]}
+SMALL_SCAN = {"omega": {"start": 1.0, "stop": 1.0, "points": 1},
+              "tau": {"start": 1.0, "stop": 1.0, "points": 1}, "measurements": 2}
+
+
+def _no_propagators(monkeypatch):
+    import pairbath.dynamics_dense
+
+    def no_propagators(*args, **kwargs):
+        raise AssertionError("branch propagators were built")
+    monkeypatch.setattr(pairbath.dynamics_dense, "branch_propagators",
+                        no_propagators)
+
+
+@pytest.mark.parametrize("command", ["run", "scan"])
+def test_dense_memory_checked_before_allocating(tmp_path, capsys, monkeypatch,
+                                                command):
+    _no_propagators(monkeypatch)
+    # 16 spins: each 2^16 x 2^16 complex matrix takes 64 GiB
+    doc = {"geometry": BIG_BATH, "engine": {"dense_limit": 16},
+           "protocol": {"omega": 1.0, "tau": 0.3, "measurements": 2},
+           "scan": SMALL_SCAN}
+    p = _write_yaml(tmp_path / "c.yaml", doc)
+    assert main([command, "--config", p, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "capacity" in err and "GiB" in err
+    assert not (tmp_path / "manifest.yaml").exists()
+
+
+def test_scan_applies_dense_limit_whatever_the_engine(tmp_path, capsys, monkeypatch):
+    _no_propagators(monkeypatch)
+    doc = {"geometry": BIG_BATH, "engine": {"name": "factored"},
+           "scan": SMALL_SCAN}
+    p = _write_yaml(tmp_path / "c.yaml", doc)
+    for engine in ([], ["--engine", "montecarlo"]):
+        assert main(["scan", "--config", p, "--out", str(tmp_path), *engine]) == 2
+        err = capsys.readouterr().err
+        assert "engine.dense_limit" in err and "limited to 12 spins" in err
+        assert "factored" not in err and "montecarlo" not in err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+def _stepped_point(g, omega, tau, m):
+    """_scan_point's row computed by stepping every round."""
+    c = CouplingSet(np.asarray(g, dtype=float), omega)
+    traj = run_protocol(maximally_mixed(c.n_spins),
+                        ProtocolConfig(omega=omega, tau=tau, measurements=m), c)
+    asg = detect_pairing(all_pair_rdms(traj.final_rho, c.n_spins), c.n_spins)
+    return (traj.purity[-1] if traj.steps else float("nan"),
+            traj.cumulative_p[-1] if traj.steps else float("nan"),
+            sum(1 for x in asg.matches if x.fidelity > 0.9), traj.status)
+
+
+def test_scan_point_falls_back_to_stepping_below_floor():
+    # p = 0.05 at every round: P_11 = 4.9e-15 is below the floor, no step is
+    g = ((1.0, 0.0, 0.0),)
+    got = _scan_point((g, 0.0, 1.3452829208967654, 11))
+    assert got[3] == "completed"
+    assert got == _stepped_point(g, 0.0, 1.3452829208967654, 11)
+    # V = 0: the first round is extinct
+    pur, cum, n_pairs, status = _scan_point((g, 0.0, float(np.pi / 2), 11))
+    assert status == "extinct" and np.isnan(pur) and np.isnan(cum)
+
+
+def test_scan_point_squares_without_stepping(monkeypatch):
+    import pairbath.cli_runner
+    rng = np.random.default_rng(40)
+    g = tuple(tuple(row) for row in rng.normal(0, 1.0, (4, 3)).tolist())
+    want = _stepped_point(g, 1.3, 0.4, 40)
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("run_protocol was called")
+    monkeypatch.setattr(pairbath.cli_runner, "run_protocol", no_stepping)
+    pur, cum, n_pairs, status = _scan_point((g, 1.3, 0.4, 40))
+    assert want[1] >= 1e-14 and status == "completed"
+    assert abs(pur - want[0]) < 1e-12 and abs(cum / want[1] - 1.0) < 1e-12
+    assert n_pairs == want[2]
 
 
 def test_main_seed_and_engine_overrides(tmp_path):

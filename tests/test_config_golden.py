@@ -298,6 +298,9 @@ INVALID = [
     ("alpha_null", "run", {"geometry": CHAIN, "protocol": {"alpha": None}}),
     ("threshold_null", "verify", {"verify": _with(VERIFY, threshold=None)}),
     ("sense_everything_missing", "sense", {"sense": {}}),
+    ("scan_dense_limit_other_engine", "scan",
+     {"geometry": {"kind": "chain", "n": 16, "spacing": 1.0, "z0": 5.0},
+      "scan": {"omega": GRID, "tau": GRID}, "engine": {"name": "factored"}}),
 ]
 
 CASES = VALID + INVALID
@@ -335,6 +338,8 @@ CHANGED = {
     "scan_not_mapping": ["scan"],
     # sections after a bad species list are checked too
     "sense_everything_missing": ["sense.species", "sense.tau_grid"],
+    # scan runs the dense engine whatever engine.name says
+    "scan_dense_limit_other_engine": ["engine.dense_limit"],
 }
 
 

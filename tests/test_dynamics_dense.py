@@ -9,6 +9,7 @@ from pairbath.dynamics_dense import (
     all_pair_rdms,
     apply_projection,
     build_V,
+    final_state_by_squaring,
     maximally_mixed,
     pair_rdm,
     purity,
@@ -240,6 +241,40 @@ def test_run_protocol_dephasing_readout_time():
     assert np.abs(traj.final_rho - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_final_state_by_squaring_matches_stepping(n):
+    rng = np.random.default_rng(30 + n)
+    alpha, beta = 0.6, 0.8j
+    for m in (1, 2, 3, 40, 64, 100, 255):
+        c = CouplingSet(rng.normal(0, 1.0, (n, 3)), rng.uniform(0.5, 2.0))
+        tau = rng.uniform(0.2, 1.0)
+        rho0 = _random_mixed(rng, 2**n)
+        # a floor this low lets deep M run, where P_M is far below 1e-14
+        cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=m, alpha=alpha,
+                             beta=beta, extinction_floor=1e-300)
+        traj = run_protocol(rho0, cfg, c)
+        assert traj.status == "completed"
+        rho, p = final_state_by_squaring(rho0, build_V(c, tau, alpha, beta), m,
+                                         cfg.extinction_floor)
+        assert np.abs(rho - traj.final_rho).max() < 1e-12
+        assert abs(p / traj.cumulative_p[-1] - 1.0) < 1e-12
+        assert abs(purity(rho) - traj.purity[-1]) < 1e-12
+
+
+def test_final_state_by_squaring_raises_below_floor():
+    c = CouplingSet(np.array([[1.0, 0.0, 0.0]]), 0.0)
+    # p = cos^2(tau) = 0.05 per round: P_11 = 0.05^11 = 4.9e-15 < 1e-14
+    v = build_V(c, 1.3452829208967654)
+    with pytest.raises(ExtinctionError) as exc:
+        final_state_by_squaring(maximally_mixed(1), v, 11)
+    assert abs(exc.value.probability / 0.05**11 - 1.0) < 1e-12
+    rho, p = final_state_by_squaring(maximally_mixed(1), v, 10)
+    assert abs(p / 0.05**10 - 1.0) < 1e-12
+    # V = 0
+    with pytest.raises(ExtinctionError):
+        final_state_by_squaring(maximally_mixed(1), build_V(c, np.pi / 2), 3)
+
+
 def _pair_rdm_oracle(rho, n, i, j):
     """Basis-index partial trace, written without einsum on purpose."""
     out = np.zeros((4, 4), dtype=complex)
@@ -264,6 +299,27 @@ def test_pair_rdm_against_basis_oracle():
         got = pair_rdm(rho, 4, i, j)
         want = _pair_rdm_oracle(rho, 4, i, j)
         assert np.abs(got - want).max() < 1e-13
+
+
+def _pair_rdm_transpose(rho, n, i, j):
+    """The transpose-and-trace formula pair_rdm used before the einsum view."""
+    t = rho.reshape((2,) * (2 * n))
+    rest = [k for k in range(n) if k not in (i, j)]
+    perm = [i, j] + rest + [n + i, n + j] + [n + k for k in rest]
+    t = t.transpose(perm).reshape(4, 2 ** (n - 2), 4, 2 ** (n - 2))
+    out = np.einsum("asbs->ab", t)
+    return 0.5 * (out + out.conj().T)
+
+
+def test_pair_rdm_matches_transpose_formula():
+    rng = np.random.default_rng(27)
+    for n in range(2, 7):
+        rho = _random_mixed(rng, 2**n)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    got = pair_rdm(rho, n, i, j)
+                    assert np.abs(got - _pair_rdm_transpose(rho, n, i, j)).max() <= 1e-15
 
 
 def test_pair_rdm_same_index_rejected():
