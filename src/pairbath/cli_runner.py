@@ -26,6 +26,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from .dynamics_dense import (
     run_protocol,
 )
 from .dynamics_factored import (
+    from_product_state,
     mixed_state_monte_carlo,
     reduced_density_matrix,
     run_factored,
@@ -509,6 +511,11 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
             states = np.tile(np.array([1.0, 0.0], dtype=complex), (n, 1))
         ens, cum = run_factored(states, pcfg, c, branch_cap=eng["branch_cap"])
         cond, status = _until_extinct(cum, pcfg.extinction_floor)
+        if len(cond) < len(cum):
+            # extinct: the pairs describe the state of the last written row
+            ens = (run_factored(states, replace(pcfg, measurements=len(cond)), c,
+                                branch_cap=eng["branch_cap"])[0]
+                   if len(cond) else from_product_state(states))
         # conditioned pure states stay pure
         traj_rows = [(s + 1, cond[s], cum[s], 1.0) for s in range(len(cond))]
         rdms = {(i, j): reduced_density_matrix(ens, i, j)
@@ -516,17 +523,29 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
         final_purity = 1.0
     else:
         pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        res = mixed_state_monte_carlo(
-            c, pcfg, samples=eng["samples"], seed=cfg["seed"],
-            pair_list=pair_list, basis=eng["sample_basis"],
-            branch_cap=eng["branch_cap"], purity_pair_budget=eng["purity_pairs"])
+
+        def monte_carlo(rounds: int):
+            return mixed_state_monte_carlo(
+                c, replace(pcfg, measurements=rounds), samples=eng["samples"],
+                seed=cfg["seed"], pair_list=pair_list, basis=eng["sample_basis"],
+                branch_cap=eng["branch_cap"],
+                purity_pair_budget=eng["purity_pairs"])
+        res = monte_carlo(pcfg.measurements)
         cum = res.success_probability
         cond, status = _until_extinct(cum, pcfg.extinction_floor)
         traj_rows = [(s + 1, cond[s], cum[s], float("nan"))
                      for s in range(len(cond))]
-        rdms = res.pair_rdms
-        final_purity = float(res.purity_estimate)
-        purity_estimate = float(res.purity_estimate)
+        if not len(cond):
+            # extinct at the first step: the pairs of the maximally mixed start
+            rdms = {p: np.eye(4, dtype=complex) / 4 for p in pair_list}
+            purity_estimate = 2.0 ** -n
+        else:
+            if len(cond) < len(cum):
+                # extinct: the same samples, up to the last written row
+                res = monte_carlo(len(cond))
+            rdms = res.pair_rdms
+            purity_estimate = float(res.purity_estimate)
+        final_purity = purity_estimate
 
     # the last written row's, so a cut run reports the step it ended at
     final_cum = float(traj_rows[-1][2]) if traj_rows else float("nan")

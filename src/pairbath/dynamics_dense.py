@@ -41,11 +41,12 @@ EXTINCTION_FLOOR = 1e-14
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# d x d complex matrices the dense engine holds at its peak: U+, U-, V,
-# rho0 and rho, and six temporaries of a dephased round. Peaks read with
-# tracemalloc at N=8: 11.0 for a dephased run_protocol, 8.1 without
-# dephasing, 7.1 for a scan point through final_state_by_squaring.
-DENSE_MATRICES = 11
+# d x d complex matrices the dense engine holds at its peak, rounded up:
+# U+, U-, V, rho0 and rho, and the four temporaries of a dephased round
+# (its two buffers plus one sandwich's product and conjugate). Peaks read
+# with tracemalloc at N=8: 9.01 for a dephased run_protocol, 8.13 without
+# dephasing, 7.13 for a scan point through final_state_by_squaring.
+DENSE_MATRICES = 10
 
 
 @dataclass(frozen=True)
@@ -227,6 +228,23 @@ def all_pair_rdms(rho: np.ndarray, n: int) -> dict[tuple[int, int], np.ndarray]:
     return rdms
 
 
+def _dephased_round(rho, up, um, V, wa, wb, e) -> np.ndarray:
+    """e V rho V^dag + (1-e)/2 (wa U+ rho U+^dag + wb U- rho U-^dag),
+    unnormalized, built in place in two buffers in the arithmetic order
+    of the expression, so at most four d x d temporaries live at once."""
+    leak = up @ rho @ up.conj().T
+    leak *= wa
+    part = um @ rho @ um.conj().T
+    part *= wb
+    leak += part
+    del part
+    out = V @ rho @ V.conj().T
+    out *= e
+    leak *= 0.5 * (1.0 - e)
+    out += leak
+    return out
+
+
 def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Trajectory:
     """Evolve rho0 through up to cfg.measurements successful rounds.
 
@@ -247,9 +265,8 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     for step in range(1, cfg.measurements + 1):
         try:
             if e < 1.0:
-                leak = wa * (up @ rho @ up.conj().T) + wb * (um @ rho @ um.conj().T)
-                out = e * (V @ rho @ V.conj().T) + 0.5 * (1.0 - e) * leak
-                rho, p = _renormalize(out, cfg.extinction_floor)
+                rho, p = _renormalize(_dephased_round(rho, up, um, V, wa, wb, e),
+                                      cfg.extinction_floor)
             else:
                 rho, p = apply_projection(rho, V, cfg.extinction_floor)
         except ExtinctionError:

@@ -11,7 +11,9 @@ paths, and for product bath states the flip probability factorizes:
     P_flip = 1/2 (1 - Re prod_blocks Tr[rho_block A1^dag A0])
 
 with per-spin path operators accumulated as (A1, A0) <- (X A0, Y A1),
-X = U+ U-, Y = U- U+. The same engine drives the multi-species
+X = U+ U-, Y = U- U+. One pass of that recurrence gives A1^dag A0 for
+every block count up to m, so a verification curve costs one recurrence
+per spin. The same engine drives the multi-species
 spectroscopy scan; singlet pairs with identical couplings contribute
 det(A1^dag A0) = 1 and are exactly invisible to the probe, which is what
 makes paired baths better sensors.
@@ -30,27 +32,11 @@ import numpy as np
 from .analysis import phased_singlet
 from .spin_core import CouplingSet, single_spin_propagators
 
-DENSE_COHERENCE_LIMIT = 14
-
 # default flip threshold for m*: sin^2(1 rad), the point where the
 # accumulated conditional rotation reaches unit phase
 FLIP_THRESHOLD = np.sin(1.0) ** 2
 
 PREPARATIONS = ("mixed", "polarized", "paired", "unpolarized")
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """CPMG verification train: m repetitions at inter-pulse time tau_v."""
-
-    m: int
-    tau_v: float
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.tau_v <= 0:
-            raise ValueError(f"tau_v must be > 0, got {self.tau_v}")
 
 
 @dataclass(frozen=True)
@@ -103,14 +89,18 @@ _XPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
 def _path_operators(g, omega, tau, m):
+    """A1^dag A0 after each block count k = 0..m, as an (m + 1, 2, 2) stack
+    indexed by k."""
     pair = single_spin_propagators(g, omega, tau)
     x = pair.u_plus @ pair.u_minus
     y = pair.u_minus @ pair.u_plus
-    a1 = np.eye(2, dtype=complex)
-    a0 = np.eye(2, dtype=complex)
-    for _ in range(m):
-        a1, a0 = x @ a0, y @ a1
-    return a1.conj().T @ a0
+    a1 = np.empty((m + 1, 2, 2), dtype=complex)
+    a0 = np.empty_like(a1)
+    a1[0] = a0[0] = np.eye(2)
+    for k in range(m):
+        np.matmul(x, a0[k], out=a1[k + 1])
+        np.matmul(y, a1[k], out=a0[k + 1])
+    return a1.conj().transpose(0, 2, 1) @ a0
 
 
 def _blocks_for(group: SpeciesGroup, offset: int) -> list:
@@ -147,6 +137,11 @@ def _block_overlap(blocks: list, ops: list) -> complex:
     return ov
 
 
+def _flip(blocks: list, ops: list) -> float:
+    """Flip probability 1/2 (1 - Re prod_blocks Tr[rho_block op_block])."""
+    return float(0.5 * (1.0 - np.real(_block_overlap(blocks, ops))))
+
+
 def sequence_flip_probability(spins: list, blocks: list, m: int, tau: float) -> float:
     """Central-spin flip probability after the m-block CPMG train.
 
@@ -154,8 +149,7 @@ def sequence_flip_probability(spins: list, blocks: list, m: int, tau: float) -> 
     consecutive pair) its initial state. Exact for any product of
     single-spin and pair states.
     """
-    ops = [_path_operators(g, om, tau, m) for g, om in spins]
-    return float(0.5 * (1.0 - np.real(_block_overlap(blocks, ops))))
+    return _flip(blocks, [_path_operators(g, om, tau, m)[m] for g, om in spins])
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +189,17 @@ def verification_scan(g1: float, g2: float, omega: float,
         raise ValueError(f"verification needs omega > 0, got {omega}")
     if tau_v is None:
         tau_v = np.pi / (4.0 * omega)
-    PulseSequence(m=max(1, m_max), tau_v=tau_v)  # validates
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    if tau_v <= 0:
+        raise ValueError(f"tau_v must be > 0, got {tau_v}")
     # "singlet" names the paired preparation of the two-spin bath
     group = SpeciesGroup(omega, [[g1, 0.0, 0.0], [g2, 0.0, 0.0]],
                          "paired" if preparation == "singlet" else preparation)
-    spins = [(g, omega) for g in group.g_vectors]
     blocks = _blocks_for(group, 0)
 
-    curve = np.array([sequence_flip_probability(spins, blocks, m, tau_v)
+    ops = [_path_operators(g, omega, tau_v, m_max) for g in group.g_vectors]
+    curve = np.array([_flip(blocks, [op[m] for op in ops])
                       for m in range(1, m_max + 1)])
     above = np.nonzero(curve > threshold)[0]
     if above.size:
@@ -222,45 +219,29 @@ def coherence_trace(bath_state, c, t_grid) -> np.ndarray:
     prepared in (|1> + |-1>)/sqrt(2) and this is its off-diagonal decay
     envelope. L(0) = 1 exactly.
 
-    bath_state: a dense density matrix, a preparation tag from
-    PREPARATIONS applied to every group, or None to use each group's own
-    tag. c: CouplingSet or SpeciesBath.
+    bath_state: a preparation tag from PREPARATIONS applied to every group,
+    or None to use each group's own tag. c: CouplingSet or SpeciesBath.
     """
-    spins = c.spins() if isinstance(c, SpeciesBath) else \
-        [(g, c.omega) for g in c.g_vectors]
-    n = len(spins)
+    if bath_state is not None and not isinstance(bath_state, str):
+        raise ValueError(f"bath_state must be None or a preparation tag from "
+                         f"{PREPARATIONS}, got {type(bath_state).__name__}")
+    if isinstance(c, SpeciesBath):
+        groups = c.groups
+        if bath_state is not None:
+            groups = tuple(SpeciesGroup(grp.omega, grp.g_vectors, bath_state)
+                           for grp in groups)
+    elif bath_state is None:
+        raise ValueError("a CouplingSet carries no preparation, pass a tag")
+    else:
+        groups = (SpeciesGroup(c.omega, c.g_vectors, bath_state),)
+    spins = SpeciesBath(groups).spins()
+    blocks = _bath_blocks(groups)
     t_grid = np.asarray(t_grid, dtype=float)
-
-    if bath_state is None or isinstance(bath_state, str):
-        if isinstance(c, SpeciesBath):
-            groups = c.groups
-            if bath_state is not None:
-                groups = tuple(SpeciesGroup(grp.omega, grp.g_vectors, bath_state)
-                               for grp in groups)
-        elif bath_state is None:
-            raise ValueError("a CouplingSet carries no preparation, pass a tag")
-        else:
-            groups = (SpeciesGroup(c.omega, c.g_vectors, bath_state),)
-        blocks = _bath_blocks(groups)
-        out = np.empty(len(t_grid))
-        for it, t in enumerate(t_grid):
-            pairs = [single_spin_propagators(g, om, t) for g, om in spins]
-            ops = [p.u_minus.conj().T @ p.u_plus for p in pairs]
-            out[it] = abs(_block_overlap(blocks, ops))
-        return out
-
-    rho = np.asarray(bath_state, dtype=complex)
-    if n > DENSE_COHERENCE_LIMIT:
-        raise ValueError(f"dense coherence limited to N <= {DENSE_COHERENCE_LIMIT}")
-    if rho.shape != (2**n, 2**n):
-        raise ValueError(f"bath state shape {rho.shape} does not match N={n}")
     out = np.empty(len(t_grid))
     for it, t in enumerate(t_grid):
-        op = np.eye(1, dtype=complex)
-        for g, om in spins:
-            pair = single_spin_propagators(g, om, t)
-            op = np.kron(op, pair.u_minus.conj().T @ pair.u_plus)
-        out[it] = abs(np.trace(op @ rho))
+        pairs = [single_spin_propagators(g, om, t) for g, om in spins]
+        ops = [p.u_minus.conj().T @ p.u_plus for p in pairs]
+        out[it] = abs(_block_overlap(blocks, ops))
     return out
 
 

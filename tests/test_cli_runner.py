@@ -9,6 +9,7 @@ from pairbath.errors import ConfigError
 from pairbath.spin_core import CouplingSet
 from pairbath.cli_runner import (
     _fmt,
+    _pairs_rows,
     _scan_point,
     cmd_run,
     cmd_scan,
@@ -265,6 +266,63 @@ def test_extinction_rule_same_for_every_engine(tmp_path, engine, tau, rc, rows):
     assert man["resolved"]["steps_completed"] == rows
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert len(lines) == rows + 1
+
+
+def _read_pairs(path):
+    lines = path.read_text().splitlines()[1:]
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines])
+
+
+@pytest.mark.parametrize("engine", ["factored", "montecarlo"])
+def test_extinct_run_pairs_describe_start_state(tmp_path, capsys, engine):
+    # an odd number of transverse spins with tau = pi/2 makes V = 0, so the
+    # run ends before its first step and pairs.csv describes the start:
+    # |000> for factored, the maximally mixed state for montecarlo
+    doc = {"geometry": {"kind": "explicit", "g_vectors": [[1.0, 0.0, 0.0]] * 3},
+           "protocol": {"omega": 0.0, "tau": float(np.pi / 2), "measurements": 3},
+           "engine": {"name": engine, "samples": 4}}
+    p = _write_yaml(tmp_path / "c.yaml", doc)
+    assert main(["run", "--config", p, "--out", str(tmp_path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    if engine == "factored":
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[0, 0] = 1.0
+    else:
+        rho = maximally_mixed(3)
+    want, _ = _pairs_rows(all_pair_rdms(rho, 3), 3)
+    got = _read_pairs(tmp_path / "pairs.csv")
+    assert got.shape == (len(want), 5)
+    assert np.abs(got - np.array(want)).max() < 1e-12
+    man = yaml.safe_load((tmp_path / "manifest.yaml").read_text())
+    assert man["resolved"]["steps_completed"] == 0
+    assert man["resolved"]["final_purity"] == (1.0 if engine == "factored" else 0.125)
+
+
+@pytest.mark.parametrize("engine", ["factored", "montecarlo"])
+def test_extinct_run_pairs_describe_last_row(tmp_path, monkeypatch, engine):
+    # a run cut after two of four steps reports the pairs, and for
+    # montecarlo the purity estimate, of a completed two-step run
+    import pairbath.cli_runner as cli
+
+    def cut_after_two(cum, floor):
+        return np.divide(cum, np.concatenate([[1.0], cum[:-1]]))[:2], "extinct"
+    doc = {"geometry": {"kind": "explicit",
+                        "g_vectors": [[0.5, 0.1, -0.3], [0.2, 0.0, 0.4],
+                                      [-0.3, 0.2, 0.1]]},
+           "protocol": {"omega": 1.0, "tau": 0.3, "measurements": 2},
+           "engine": {"name": engine, "samples": 4}}
+    assert main(["run", "--config", _write_yaml(tmp_path / "two.yaml", doc),
+                 "--out", str(tmp_path / "two")]) == 0
+    doc["protocol"]["measurements"] = 4
+    monkeypatch.setattr(cli, "_until_extinct", cut_after_two)
+    assert main(["run", "--config", _write_yaml(tmp_path / "four.yaml", doc),
+                 "--out", str(tmp_path / "four")]) == 3
+    for name in ("trajectory.csv", "pairs.csv"):
+        assert ((tmp_path / "four" / name).read_bytes()
+                == (tmp_path / "two" / name).read_bytes())
+    two, four = (yaml.safe_load((tmp_path / d / "manifest.yaml").read_text())
+                 ["resolved"] for d in ("two", "four"))
+    assert four["final_purity"] == two["final_purity"]
 
 
 def test_factored_engines_reject_dephasing(tmp_path, capsys):

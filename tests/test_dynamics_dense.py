@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from pairbath.errors import ConfigError, ExtinctionError
 from pairbath.spin_core import SIGMA_X, SIGMA_Y, SIGMA_Z, CouplingSet
 from pairbath.dynamics_dense import (
+    DENSE_MATRICES,
     ProtocolConfig,
     all_pair_rdms,
     apply_projection,
@@ -239,6 +240,22 @@ def test_run_protocol_dephasing_readout_time():
     want, p = _joint_step(c, 0.5, 2**-0.5, 2**-0.5, rho0, gamma_d=1.2, t_read=0.05)
     assert abs(traj.conditional_p[0] - p) < 1e-12
     assert np.abs(traj.final_rho - want).max() < 1e-12
+
+
+def test_dephased_run_within_dense_memory_estimate():
+    # the dense memory check assumes DENSE_MATRICES matrices of 4^N entries;
+    # a dephased run holds the most of them at once
+    import tracemalloc
+    n = 7
+    c = CouplingSet(np.random.default_rng(26).normal(size=(n, 3)), 1.0)
+    cfg = ProtocolConfig(omega=1.0, tau=0.3, measurements=3, dephasing_rate=0.3)
+    tracemalloc.start()
+    try:
+        run_protocol(maximally_mixed(n), cfg, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= DENSE_MATRICES * 16 * 4**n
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -5,7 +5,7 @@ from pairbath.spin_core import CouplingSet, single_spin_propagators
 from pairbath.analysis import phased_singlet
 from pairbath.protocols import (
     FLIP_THRESHOLD,
-    PulseSequence,
+    PREPARATIONS,
     SpeciesBath,
     SpeciesGroup,
     coherence_trace,
@@ -49,10 +49,13 @@ def _flip_prob_dense(spins, m, tau, rho_b):
 
 
 def test_pulse_sequence_validation():
-    with pytest.raises(ValueError, match="m must"):
-        PulseSequence(m=0, tau_v=0.1)
-    with pytest.raises(ValueError, match="tau_v"):
-        PulseSequence(m=3, tau_v=0.0)
+    # an empty train used to pass and then fail inside curve.max()
+    for m_max in (0, -3):
+        with pytest.raises(ValueError, match="m_max"):
+            verification_scan(3.0, 4.0, 10.0, m_max=m_max)
+    for tau_v in (0.0, -0.1):
+        with pytest.raises(ValueError, match="tau_v"):
+            verification_scan(3.0, 4.0, 10.0, tau_v=tau_v, m_max=3)
 
 
 def test_species_group_validation():
@@ -143,6 +146,49 @@ def test_verification_defaults_and_validation():
         verification_scan(3.0, 4.0, 10.0, preparation="bogus")
 
 
+def _rebuilt_path_operator(g, omega, tau, m):
+    """A1^dag A0 after m blocks, rebuilt from the identity."""
+    pair = single_spin_propagators(g, omega, tau)
+    x = pair.u_plus @ pair.u_minus
+    y = pair.u_minus @ pair.u_plus
+    a1 = np.eye(2, dtype=complex)
+    a0 = np.eye(2, dtype=complex)
+    for _ in range(m):
+        a1, a0 = x @ a0, y @ a1
+    return a1.conj().T @ a0
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 50, 200])
+def test_verification_recurrence_matches_rebuild_per_m(m_max):
+    # the one-pass curve equals, bit for bit, rebuilding every path
+    # operator from scratch for each m
+    rng = np.random.default_rng(60 + m_max)
+    sing = phased_singlet(0.0)
+    rho_pair = np.outer(sing, sing.conj())
+    rho_one = {"mixed": _MIXED2,
+               "polarized": np.diag([1.0, 0.0]).astype(complex),
+               "unpolarized": np.full((2, 2), 0.5, dtype=complex)}
+    for _ in range(3):
+        g1, g2 = rng.normal(0.0, 3.0, 2)
+        omega = rng.uniform(2.0, 20.0)
+        tau = np.pi / (4.0 * omega)
+        gs = [np.array([g1, 0.0, 0.0]), np.array([g2, 0.0, 0.0])]
+        for prep in (*PREPARATIONS, "singlet"):
+            got = verification_scan(g1, g2, omega, m_max=m_max,
+                                     preparation=prep).curve
+            want = []
+            for m in range(1, m_max + 1):
+                ops = [_rebuilt_path_operator(g, omega, tau, m) for g in gs]
+                ov = 1.0 + 0.0j
+                if prep in ("paired", "singlet"):
+                    ov *= np.trace(rho_pair @ np.kron(ops[0], ops[1]))
+                else:
+                    for op in ops:
+                        ov *= np.trace(rho_one[prep] @ op)
+                want.append(float(0.5 * (1.0 - np.real(ov))))
+            assert np.array_equal(got, np.array(want)), prep
+
+
 def test_verification_paired_alias():
     a = verification_scan(3.0, 4.0, 10.0, m_max=12, preparation="paired")
     b = verification_scan(3.0, 4.0, 10.0, m_max=12, preparation="singlet")
@@ -172,12 +218,19 @@ def test_coherence_single_spin_closed_form():
 
 
 def test_coherence_dense_state_matches_tag():
+    # dense oracle: |Tr[(kron_k U-^dag U+) rho]| on the joint bath space
     rng = np.random.default_rng(51)
     c = CouplingSet(rng.normal(0, 1.0, (3, 3)), 1.5)
     t = np.linspace(0, 2, 15)
     by_tag = coherence_trace("mixed", c, t)
     rho = np.eye(8, dtype=complex) / 8
-    by_state = coherence_trace(rho, c, t)
+    by_state = np.empty(len(t))
+    for it, tt in enumerate(t):
+        op = np.eye(1, dtype=complex)
+        for g in c.g_vectors:
+            pair = single_spin_propagators(g, c.omega, tt)
+            op = np.kron(op, pair.u_minus.conj().T @ pair.u_plus)
+        by_state[it] = abs(np.trace(op @ rho))
     assert np.abs(by_tag - by_state).max() < 1e-12
 
 
@@ -202,11 +255,11 @@ def test_coherence_validation():
     c = CouplingSet(np.array([[1.0, 0, 0]]), 1.0)
     with pytest.raises(ValueError, match="preparation"):
         coherence_trace(None, c, [0.0, 0.1])
-    with pytest.raises(ValueError, match="shape"):
-        coherence_trace(np.eye(4) / 4, c, [0.0])
-    big = CouplingSet(np.ones((15, 3)), 1.0)
-    with pytest.raises(ValueError, match="N <= 14"):
-        coherence_trace(np.eye(2) / 2, big, [0.0])
+    # dense states are not accepted, only preparation tags
+    with pytest.raises(ValueError, match="None or a preparation tag"):
+        coherence_trace(np.eye(2) / 2, c, [0.0])
+    with pytest.raises(ValueError, match="preparation"):
+        coherence_trace("thermal", c, [0.0])
 
 
 def test_paired_identical_couplings_invisible():
