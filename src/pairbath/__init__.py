@@ -3,7 +3,6 @@
 from .errors import CapacityError, ConfigError, ExtinctionError
 from .spin_core import (
     CouplingSet,
-    PropagatorPair,
     SpinGeometry,
     chain_geometry,
     dimer_chain_geometry,
@@ -11,7 +10,6 @@ from .spin_core import (
     effective_coupling,
     optimal_params,
     plane_geometry,
-    single_spin_propagators,
 )
 from .dynamics_dense import (
     ProtocolConfig,

@@ -11,7 +11,7 @@ selftest  acceptance criteria, one PASS/FAIL line each
 
 Exit codes: 0 success, 2 configuration error, 3 trajectory extinction
 (a step's conditional probability fell below the extinction floor, for
-every engine), 4 branch cap or memory estimate exceeded.
+every engine), 4 memory estimate exceeded.
 
 Tables are comma separated with a single header line, rows in a fixed
 deterministic order, and floats printed with 15 significant digits, so a
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -57,6 +58,7 @@ from .protocols import (
     SpeciesGroup,
     coherence_trace,
     find_local_maxima,
+    require_grid_memory,
     resolves_side_features,
     spectroscopy_scan,
     verification_scan,
@@ -328,7 +330,6 @@ _CONFIG = (
     ("engine", _mapping((
         ("name", _choice(*_ENGINES), "dense"),
         ("dense_limit", _integer(1), 12),
-        ("branch_cap", _integer(2), 2 ** 20),
         ("samples", _integer(1), 200),
         ("sample_basis", _choice("haar", "z"), "haar"),
         ("initial_state", _choice("polarized", "haar"), "polarized"),
@@ -352,7 +353,7 @@ _CONFIG = (
         ("m", _integer(1), 16),
         ("species", _species, _REQUIRED),
         ("tau_grid", _grid(gt=0), _REQUIRED),
-        ("time_grid", _or(None, _grid()), None),
+        ("time_grid", _or(None, _grid(ge=0)), None),
         ("omega", _or(None, _number()), None),
         ("epsilon", _or(None, _number()), None),
     )), _OMIT),
@@ -376,6 +377,12 @@ def validate_config(raw: dict, command: str = "run") -> dict:
         if raw.get(name) is None:
             errors.append(f"{name}: is required for this command")
 
+    sense = norm.get("sense") or {}
+    om, eps = sense.get("omega"), sense.get("epsilon")
+    if om is not None and eps is not None and not abs(eps) < om:
+        # both side resonances pi/(4(omega +- epsilon)) must exist
+        errors.append(f"sense.epsilon: must satisfy |epsilon| < omega, "
+                      f"got epsilon {eps} with omega {om}")
     prot = norm.get("protocol") or {}
     if "alpha" in prot and "beta" in prot:
         amp2 = sum(x * x for x in prot["alpha"] + prot["beta"])
@@ -509,12 +516,11 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
             states = _haar_product(np.random.default_rng(cfg["seed"]), n)
         else:
             states = np.tile(np.array([1.0, 0.0], dtype=complex), (n, 1))
-        ens, cum = run_factored(states, pcfg, c, branch_cap=eng["branch_cap"])
+        ens, cum = run_factored(states, pcfg, c)
         cond, status = _until_extinct(cum, pcfg.extinction_floor)
         if len(cond) < len(cum):
             # extinct: the pairs describe the state of the last written row
-            ens = (run_factored(states, replace(pcfg, measurements=len(cond)), c,
-                                branch_cap=eng["branch_cap"])[0]
+            ens = (run_factored(states, replace(pcfg, measurements=len(cond)), c)[0]
                    if len(cond) else from_product_state(states))
         # conditioned pure states stay pure
         traj_rows = [(s + 1, cond[s], cum[s], 1.0) for s in range(len(cond))]
@@ -528,7 +534,6 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
             return mixed_state_monte_carlo(
                 c, replace(pcfg, measurements=rounds), samples=eng["samples"],
                 seed=cfg["seed"], pair_list=pair_list, basis=eng["sample_basis"],
-                branch_cap=eng["branch_cap"],
                 purity_pair_budget=eng["purity_pairs"])
         res = monte_carlo(pcfg.measurements)
         cum = res.success_probability
@@ -624,8 +629,11 @@ def cmd_scan(cfg: dict, out_dir: Path, threads: int = 1) -> int:
     tasks = [(g_rows, float(o * g_eff), float(t / g_eff), sc["measurements"])
              for o in om_rel for t in ta_rel]
 
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
+    # the pool forks every worker on its first task, so start no more than
+    # there are tasks and usable cores
+    workers = min(threads, len(tasks), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             # map preserves submission order, so assembly is grid-ordered
             # regardless of worker scheduling
             results = list(ex.map(_scan_point, tasks, chunksize=4))
@@ -695,6 +703,10 @@ def _species_bath(spec: list, retag: str | None = None) -> SpeciesBath:
 
 def cmd_sense(cfg: dict, out_dir: Path) -> int:
     s = cfg["sense"]
+    # checked before the grids themselves are built
+    time_points = s["time_grid"]["points"] if s["time_grid"] else 0
+    require_grid_memory(max(s["tau_grid"]["points"], time_points),
+                        sum(len(sp["g_vectors"]) for sp in s["species"]))
     bath = _species_bath(s["species"])
     mixed = _species_bath(s["species"], retag="mixed")
     tau_grid = _linspace(s["tau_grid"])

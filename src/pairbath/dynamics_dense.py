@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -120,12 +121,9 @@ def build_branch_operators(c: CouplingSet, tau: float) -> tuple[np.ndarray, np.n
     engine's matrices would not fit in physical memory.
     """
     require_dense_memory(c.n_spins)
-    up = np.eye(1, dtype=complex)
-    um = np.eye(1, dtype=complex)
-    for pair in branch_propagators(c, tau):
-        up = np.kron(up, pair.u_plus)
-        um = np.kron(um, pair.u_minus)
-    return up, um
+    one = np.eye(1, dtype=complex)
+    return tuple(reduce(np.kron, u, one)
+                 for u in branch_propagators(c.g_vectors, c.omega, tau))
 
 
 def build_V(c: CouplingSet, tau: float, alpha: complex = INV_SQRT2,

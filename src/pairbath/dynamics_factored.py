@@ -10,10 +10,9 @@ All scalar observables reduce to the per-spin Gram matrices
 via P = sum_{a,b} conj(w_a) w_b prod_k G_k[a,b]. Unitarity makes the
 diagonal blocks of each extension step trivial (G'_{00} = G'_{11} = G), so
 one extension costs a single 2x2-sandwich gemm per spin for the cross
-block, O(4^m N) in memory. No truncation is applied; exceeding the branch
-cap raises CapacityError instead of silently biasing the post-selected
-statistics. Before the first round run_factored checks that the last two
-Gram caches fit in physical memory.
+block, O(4^m N) in memory. No truncation is applied. Before the first
+round run_factored checks that the last two Gram caches fit in physical
+memory, and raises CapacityError if they do not.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics_dense import ProtocolConfig
-from .errors import CapacityError, ConfigError, require_memory
-from .spin_core import CouplingSet, PropagatorPair, branch_propagators
+from .errors import ConfigError, require_memory
+from .spin_core import CouplingSet, branch_propagators
 
-BRANCH_CAP = 2**20
 # rows per block in the deterministic Gram reductions; fixed so that the
 # summation order never depends on worker count or array layout
 REDUCE_BLOCK = 256
@@ -68,26 +66,20 @@ def from_product_state(spin_states) -> BranchEnsemble:
     return BranchEnsemble(vecs[None, :, :].copy(), np.ones(1, dtype=complex), grams)
 
 
-def extend(ens: BranchEnsemble, pairs: list[PropagatorPair],
-           alpha: complex, beta: complex,
-           branch_cap: int = BRANCH_CAP) -> BranchEnsemble:
+def extend(ens: BranchEnsemble, up: np.ndarray, um: np.ndarray,
+           alpha: complex, beta: complex) -> BranchEnsemble:
     """One measurement round: branch count doubles.
 
-    Appended bit 0 applies U+ to every spin with weight factor |alpha|^2,
-    bit 1 applies U- with |beta|^2. Gram update is incremental: the
+    up and um are the (N, 2, 2) branch propagators of the spins. Appended
+    bit 0 applies U+ to every spin with weight factor |alpha|^2, bit 1
+    applies U- with |beta|^2. Gram update is incremental: the
     same-bit blocks are invariant under the joint unitaries, and only
     G01[a, b] = <v_a | U+^dag U- | v_b> needs fresh gemms (G10 = G01^dag).
     """
     b, n = ens.n_branches, ens.n_spins
-    if 2 * b > branch_cap:
-        raise CapacityError(
-            f"extension would create {2 * b} branches, cap is {branch_cap}; "
-            "use the dense engine or Monte Carlo sampling instead")
-    if len(pairs) != n:
-        raise ValueError(f"{len(pairs)} propagator pairs for {n} spins")
-
-    up = np.stack([p.u_plus for p in pairs])     # (N, 2, 2)
-    um = np.stack([p.u_minus for p in pairs])
+    if up.shape != (n, 2, 2) or um.shape != (n, 2, 2):
+        raise ValueError(f"propagators of shape {up.shape} and {um.shape} "
+                         f"for {n} spins")
 
     new_vecs = np.empty((2 * b, n, 2), dtype=complex)
     new_vecs[:b] = np.einsum("kij,bkj->bki", up, ens.vectors)
@@ -166,8 +158,8 @@ class MonteCarloResult:
     samples: int
 
 
-def run_factored(spin_states, cfg: ProtocolConfig, c: CouplingSet,
-                 branch_cap: int = BRANCH_CAP) -> tuple[BranchEnsemble, np.ndarray]:
+def run_factored(spin_states, cfg: ProtocolConfig,
+                 c: CouplingSet) -> tuple[BranchEnsemble, np.ndarray]:
     """Propagate one product state through cfg.measurements rounds.
 
     Returns the final ensemble and the cumulative success probability
@@ -183,11 +175,11 @@ def run_factored(spin_states, cfg: ProtocolConfig, c: CouplingSet,
     require_memory(n * 16 * (4**rounds + 4 ** (rounds - 1)),
                    f"the Gram caches of {rounds} rounds on {n} spins",
                    "use fewer measurements or the dense engine")
-    pairs = branch_propagators(c, cfg.tau)
+    up, um = branch_propagators(c.g_vectors, c.omega, cfg.tau)
     ens = from_product_state(spin_states)
     probs = np.empty(cfg.measurements)
     for m in range(cfg.measurements):
-        ens = extend(ens, pairs, cfg.alpha, cfg.beta, branch_cap=branch_cap)
+        ens = extend(ens, up, um, cfg.alpha, cfg.beta)
         probs[m] = success_probability(ens)
     return ens, probs
 
@@ -206,7 +198,6 @@ def _zbasis_product(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def mixed_state_monte_carlo(c: CouplingSet, cfg: ProtocolConfig, samples: int,
                             seed: int, pair_list=None, basis: str = "haar",
-                            branch_cap: int = BRANCH_CAP,
                             purity_pair_budget: int = 256) -> MonteCarloResult:
     """Monte Carlo unraveling of the maximally mixed initial state.
 
@@ -237,7 +228,7 @@ def mixed_state_monte_carlo(c: CouplingSet, cfg: ProtocolConfig, samples: int,
     kept = []   # (vectors, weights) of the first samples, for the purity
     for s in range(samples):
         rng = np.random.default_rng(streams[s])
-        ens, probs = run_factored(draw(rng, n), cfg, c, branch_cap=branch_cap)
+        ens, probs = run_factored(draw(rng, n), cfg, c)
         cum += probs
         norm_sum += probs[-1]
         for p in rdm_num:

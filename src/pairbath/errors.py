@@ -25,7 +25,7 @@ class ExtinctionError(RuntimeError):
 
 
 class CapacityError(RuntimeError):
-    """Branch cap or memory estimate exceeded before a run. Exit code 4."""
+    """Memory estimate exceeded before a run. Exit code 4."""
 
 
 def require_memory(need: int, what: str, remedy: str) -> None:

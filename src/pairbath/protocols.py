@@ -11,10 +11,10 @@ paths, and for product bath states the flip probability factorizes:
     P_flip = 1/2 (1 - Re prod_blocks Tr[rho_block A1^dag A0])
 
 with per-spin path operators accumulated as (A1, A0) <- (X A0, Y A1),
-X = U+ U-, Y = U- U+. One pass of that recurrence gives A1^dag A0 for
-every block count up to m, so a verification curve costs one recurrence
-per spin. The same engine drives the multi-species
-spectroscopy scan; singlet pairs with identical couplings contribute
+X = U+ U-, Y = U- U+. The recurrence runs on arrays over every spin and
+every grid time at once: one pass gives A1^dag A0 for each block count up
+to m, which is a whole verification curve, and its last step is a whole
+spectroscopy scan. Singlet pairs with identical couplings contribute
 det(A1^dag A0) = 1 and are exactly invisible to the probe, which is what
 makes paired baths better sensors.
 
@@ -25,12 +25,14 @@ echo (flip probability 0 for every m).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import phased_singlet
-from .spin_core import CouplingSet, single_spin_propagators
+from .errors import require_memory
+from .spin_core import CouplingSet, branch_propagators
 
 # default flip threshold for m*: sin^2(1 rad), the point where the
 # accumulated conditional rotation reaches unit phase
@@ -71,12 +73,11 @@ class SpeciesBath:
         if not self.groups:
             raise ValueError("species bath needs at least one group")
 
-    def spins(self) -> list:
-        """Flat [(g_vector, omega)] list over all groups."""
-        out = []
-        for grp in self.groups:
-            out.extend((g, grp.omega) for g in grp.g_vectors)
-        return out
+    def spins(self) -> tuple[np.ndarray, np.ndarray]:
+        """(g (n, 3), omega (n,)) of every spin, groups in order."""
+        return (np.concatenate([grp.g_vectors for grp in self.groups]),
+                np.concatenate([np.full(grp.n_spins, grp.omega)
+                                for grp in self.groups]))
 
 
 # ---------------------------------------------------------------------------
@@ -87,69 +88,78 @@ _MIXED2 = np.eye(2, dtype=complex) / 2
 _ZUP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _XPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
+# grid + (n, 2, 2) arrays at the recurrence's peak: U+-, X, Y, A1, A0, 2 products
+GRID_ARRAYS = 8
 
-def _path_operators(g, omega, tau, m):
-    """A1^dag A0 after each block count k = 0..m, as an (m + 1, 2, 2) stack
-    indexed by k."""
-    pair = single_spin_propagators(g, omega, tau)
-    x = pair.u_plus @ pair.u_minus
-    y = pair.u_minus @ pair.u_plus
-    a1 = np.empty((m + 1, 2, 2), dtype=complex)
-    a0 = np.empty_like(a1)
-    a1[0] = a0[0] = np.eye(2)
-    for k in range(m):
-        np.matmul(x, a0[k], out=a1[k + 1])
-        np.matmul(y, a1[k], out=a0[k + 1])
-    return a1.conj().transpose(0, 2, 1) @ a0
+
+def require_grid_memory(points: int, n_spins: int) -> None:
+    """Raise CapacityError if the path operators of a grid would not fit in
+    physical memory."""
+    require_memory(GRID_ARRAYS * 64 * points * n_spins,
+                   f"the path operators of {points} grid points on {n_spins} spins",
+                   "use fewer grid points")
+
+
+def _grid_propagators(species: SpeciesBath, grid) -> tuple[np.ndarray, np.ndarray]:
+    """U+ and U- of every spin at every grid time, memory checked first."""
+    g, omega = species.spins()
+    require_grid_memory(np.size(grid), len(g))
+    return branch_propagators(g, omega, grid)
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _path_operators(up: np.ndarray, um: np.ndarray, m: int):
+    """Yield (A1, A0) after each block count k = 0..m, over whatever
+    leading axes U+ and U- carry; only the running pair is kept."""
+    x, y = up @ um, um @ up
+    a1 = a0 = np.broadcast_to(np.eye(2, dtype=complex), x.shape)
+    yield a1, a0
+    for _ in range(m):
+        a1, a0 = x @ a0, y @ a1
+        yield a1, a0
 
 
 def _blocks_for(group: SpeciesGroup, offset: int) -> list:
-    """(kind, rho, indices) blocks realizing the group's preparation."""
+    """(rho, spins) blocks realizing the group's preparation: a one-spin
+    state on (k,) or a pair state on (k, k + 1)."""
     tag = group.preparation
     if tag == "paired":
         sing = phased_singlet(0.0)
         rho4 = np.outer(sing, sing.conj())
-        return [("pair", rho4, offset + 2 * p, offset + 2 * p + 1)
+        return [(rho4, (offset + 2 * p, offset + 2 * p + 1))
                 for p in range(group.n_spins // 2)]
     rho2 = {"mixed": _MIXED2, "polarized": _ZUP, "unpolarized": _XPLUS}[tag]
-    return [("one", rho2, offset + k) for k in range(group.n_spins)]
+    return [(rho2, (offset + k,)) for k in range(group.n_spins)]
 
 
 def _bath_blocks(groups) -> list:
     """Blocks of consecutive groups, indexed into the flat spin list."""
-    blocks = []
-    off = 0
-    for grp in groups:
-        blocks.extend(_blocks_for(grp, off))
-        off += grp.n_spins
-    return blocks
+    offsets = np.cumsum([0] + [grp.n_spins for grp in groups])
+    return [blk for grp, off in zip(groups, offsets)
+            for blk in _blocks_for(grp, int(off))]
 
 
-def _block_overlap(blocks: list, ops: list) -> complex:
-    """prod over blocks of Tr[rho_block op_block], where a pair block's
-    operator is the Kronecker product of its two spins' operators."""
-    ov = 1.0 + 0.0j
-    for blk in blocks:
-        if blk[0] == "one":
-            ov *= np.trace(blk[1] @ ops[blk[2]])
-        else:
-            ov *= np.trace(blk[1] @ np.kron(ops[blk[2]], ops[blk[3]]))
+def _block_overlap(blocks: list, ops: np.ndarray) -> np.ndarray:
+    """prod over blocks of Tr[rho_block op_block] for operators of shape
+    grid + (n, 2, 2), one value per grid point. A pair block's operator is
+    the Kronecker product of its two spins' operators."""
+    ov = np.ones(ops.shape[:-3], dtype=complex)
+    for rho, spins in blocks:
+        op = ops[..., spins[0], :, :]
+        if len(spins) == 2:
+            b = ops[..., spins[1], :, :]
+            op = (op[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+                op.shape[:-2] + (4, 4))
+        ov = ov * np.trace(rho @ op, axis1=-2, axis2=-1)
     return ov
 
 
-def _flip(blocks: list, ops: list) -> float:
+def _flip(blocks: list, ops: np.ndarray) -> np.ndarray:
     """Flip probability 1/2 (1 - Re prod_blocks Tr[rho_block op_block])."""
-    return float(0.5 * (1.0 - np.real(_block_overlap(blocks, ops))))
-
-
-def sequence_flip_probability(spins: list, blocks: list, m: int, tau: float) -> float:
-    """Central-spin flip probability after the m-block CPMG train.
-
-    spins: [(g_vector, omega)] per bath spin; blocks assign each spin (or
-    consecutive pair) its initial state. Exact for any product of
-    single-spin and pair states.
-    """
-    return _flip(blocks, [_path_operators(g, om, tau, m)[m] for g, om in spins])
+    return 0.5 * (1.0 - np.real(_block_overlap(blocks, ops)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +208,13 @@ def verification_scan(g1: float, g2: float, omega: float,
                          "paired" if preparation == "singlet" else preparation)
     blocks = _blocks_for(group, 0)
 
-    ops = [_path_operators(g, omega, tau_v, m_max) for g in group.g_vectors]
-    curve = np.array([_flip(blocks, [op[m] for op in ops])
-                      for m in range(1, m_max + 1)])
+    steps = _path_operators(*branch_propagators(group.g_vectors, omega, tau_v), m_max)
+    next(steps)   # k = 0
+    curve = np.array([_flip(blocks, _dagger(a1) @ a0) for a1, a0 in steps])
     above = np.nonzero(curve > threshold)[0]
-    if above.size:
-        m_star = int(above[0] + 1)
-        return VerificationResult(curve, m_star, True, float(curve.max()),
-                                  threshold, tau_v)
-    return VerificationResult(curve, None, False, float(curve.max()),
-                              threshold, tau_v)
+    m_star = int(above[0] + 1) if above.size else None
+    return VerificationResult(curve, m_star, m_star is not None,
+                              float(curve.max()), threshold, tau_v)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +241,8 @@ def coherence_trace(bath_state, c, t_grid) -> np.ndarray:
         raise ValueError("a CouplingSet carries no preparation, pass a tag")
     else:
         groups = (SpeciesGroup(c.omega, c.g_vectors, bath_state),)
-    spins = SpeciesBath(groups).spins()
-    blocks = _bath_blocks(groups)
-    t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty(len(t_grid))
-    for it, t in enumerate(t_grid):
-        pairs = [single_spin_propagators(g, om, t) for g, om in spins]
-        ops = [p.u_minus.conj().T @ p.u_plus for p in pairs]
-        out[it] = abs(_block_overlap(blocks, ops))
-    return out
+    up, um = _grid_propagators(SpeciesBath(groups), t_grid)
+    return np.abs(_block_overlap(_bath_blocks(groups), _dagger(um) @ up))
 
 
 # ---------------------------------------------------------------------------
@@ -260,31 +260,34 @@ def spectroscopy_scan(species: SpeciesBath, tau_grid, m: int = 16) -> Spectrosco
     """Central-spin transition probability after the m-block CPMG train,
     as a function of the interrogation time tau, for the bath as prepared
     in the species group tags."""
-    spins = species.spins()
-    blocks = _bath_blocks(species.groups)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    signal = np.array([sequence_flip_probability(spins, blocks, m, t)
-                       for t in tau_grid])
+    steps = _path_operators(*_grid_propagators(species, tau_grid), m)
+    a1, a0 = deque(steps, maxlen=1).pop()     # holds no step but the last
+    signal = _flip(_bath_blocks(species.groups), _dagger(a1) @ a0)
     return SpectroscopyScan(tau_grid, signal, m)
 
 
 def find_local_maxima(x: np.ndarray, y: np.ndarray, prominence: float = 0.05) -> list:
     """Interior local maxima that rise at least `prominence` above the
     lowest level on both sides. Returns [(x_i, y_i)] in x order."""
-    out = []
-    for i in range(1, len(y) - 1):
-        if y[i] >= y[i - 1] and y[i] >= y[i + 1] and (y[i] > y[i - 1] or y[i] > y[i + 1]):
-            drop = y[i] - max(y[:i].min(), y[i + 1:].min())
-            if drop >= prominence:
-                out.append((float(x[i]), float(y[i])))
-    return out
+    y = np.asarray(y)
+    left, mid, right = y[:-2], y[1:-1], y[2:]
+    low = np.maximum(np.minimum.accumulate(y)[:-2],               # min y[:i]
+                     np.minimum.accumulate(y[::-1])[::-1][2:])    # min y[i+1:]
+    peak = ((mid >= left) & (mid >= right) & ((mid > left) | (mid > right))
+            & (mid - low >= prominence))
+    return [(float(x[i + 1]), float(y[i + 1])) for i in np.flatnonzero(peak)]
 
 
 def resolves_side_features(scan: SpectroscopyScan, omega: float, eps: float,
                            position_tol: float = 0.02,
                            prominence: float = 0.05) -> bool:
     """True when the scan shows exactly two prominent maxima, one within
-    position_tol (relative) of each side-species resonance pi/(4(omega+-eps))."""
+    position_tol (relative) of each side-species resonance pi/(4(omega+-eps)),
+    both of which exist only for |eps| < omega."""
+    if not abs(eps) < omega:
+        raise ValueError(f"side resonances need |epsilon| < omega, got "
+                         f"epsilon {eps} with omega {omega}")
     peaks = find_local_maxima(scan.tau_grid, scan.signal, prominence)
     if len(peaks) != 2:
         return False

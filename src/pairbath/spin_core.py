@@ -7,8 +7,8 @@ into two branches generated by
     H_pm = sum_k (omega * I_z^k +- g_k . I^k)
 
 with the I operators represented as Pauli matrices (eigenvalues +-1).
-Each branch factorizes over spins, so a single 2x2 propagator pair per
-spin is all the downstream engines ever need:
+Each branch factorizes over spins, so a 2x2 propagator pair per spin
+and dwell time is all the downstream engines ever need:
 
     U_pm = exp(+i (omega z_hat +- g_k) . sigma * tau)
          = cos(d tau) 1 + i sin(d tau) (n_hat . sigma),   d = |omega z_hat +- g_k|
@@ -74,14 +74,6 @@ class CouplingSet:
         return self.g_vectors.shape[0]
 
 
-@dataclass(frozen=True)
-class PropagatorPair:
-    """The two 2x2 branch unitaries of one bath spin for a fixed dwell time."""
-
-    u_plus: np.ndarray
-    u_minus: np.ndarray
-
-
 def chain_geometry(n: int, spacing: float, z0: float, x0: float = 0.0) -> SpinGeometry:
     """Linear chain along x at height z0: x_k = x0 + k*spacing, k = 0..n-1."""
     xs = x0 + spacing * np.arange(n)
@@ -134,32 +126,36 @@ def dipolar_couplings(geom: SpinGeometry, prefactor: float = 1.0,
     return CouplingSet(g, omega)
 
 
-def single_spin_propagators(g_k, omega: float, tau: float) -> PropagatorPair:
-    """Exact branch propagators for one spin.
+def branch_propagators(g_vectors, omega, tau) -> tuple[np.ndarray, np.ndarray]:
+    """U+ and U- of every spin at every dwell time.
 
+    g_vectors is (n, 3), omega a scalar or one value per spin, tau a scalar
+    or an array of times >= 0. Each result has shape np.shape(tau) + (n, 2, 2):
     U_pm = cos(d_pm tau) 1 + i sin(d_pm tau) (n_hat_pm . sigma) with
-    n_pm = omega z_hat +- g_k and d_pm = |n_pm|. Degenerate inputs
-    (tau = 0 or d = 0) return the identity.
+    n_pm = omega z_hat +- g_k and d_pm = |n_pm|. A zero field has a zero
+    axis, so it gives the identity at any tau, as tau = 0 does for any field.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    g_k = np.asarray(g_k, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
+        raise ValueError(f"tau must be >= 0, got {tau.min()}")
+    g = np.asarray(g_vectors, dtype=float).reshape(-1, 3)
+    field = np.zeros_like(g)
+    field[:, 2] = omega
     out = []
-    for sign in (+1.0, -1.0):
-        n = omega * ZHAT + sign * g_k
-        d = np.linalg.norm(n)
-        if d == 0.0 or tau == 0.0:
-            out.append(np.eye(2, dtype=complex))
-            continue
-        nh = n / d
-        ang = d * tau
-        out.append(np.cos(ang) * np.eye(2, dtype=complex)
-                   + 1j * np.sin(ang) * (nh[0] * SIGMA_X + nh[1] * SIGMA_Y + nh[2] * SIGMA_Z))
-    return PropagatorPair(u_plus=out[0], u_minus=out[1])
-
-
-def branch_propagators(c: CouplingSet, tau: float) -> list[PropagatorPair]:
-    return [single_spin_propagators(g, c.omega, tau) for g in c.g_vectors]
+    for sign in (1.0, -1.0):
+        n = field + sign * g
+        # |n| by a dot product, rounded as np.linalg.norm rounds one vector
+        d = np.sqrt((n[:, None, :] @ n[:, :, None])[:, 0, 0])
+        nx, ny, nz = (n / np.where(d > 0, d, 1.0)[:, None]).T
+        ang = tau[..., None] * d
+        c, s = np.cos(ang), np.sin(ang)
+        u = np.empty(ang.shape + (2, 2), dtype=complex)
+        u[..., 0, 0] = c + 1j * (s * nz)
+        u[..., 0, 1] = s * ny + 1j * (s * nx)
+        u[..., 1, 0] = -(s * ny) + 1j * (s * nx)
+        u[..., 1, 1] = c - 1j * (s * nz)
+        out.append(u)
+    return out[0], out[1]
 
 
 def effective_coupling(c: CouplingSet) -> float:

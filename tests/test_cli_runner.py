@@ -68,8 +68,7 @@ def test_validate_minimal_config_golden_defaults():
         "protocol": {"omega": "auto", "tau": "auto", "units": "absolute",
                      "measurements": 100, "alpha": [s, 0.0], "beta": [s, 0.0],
                      "dephasing_rate": 0.0, "readout_time": None},
-        "engine": {"name": "dense", "dense_limit": 12, "branch_cap": 2**20,
-                   "samples": 200, "sample_basis": "haar",
+        "engine": {"name": "dense", "dense_limit": 12, "samples": 200, "sample_basis": "haar",
                    "initial_state": "polarized", "purity_pairs": 256},
     }
 
@@ -194,6 +193,52 @@ def test_scan_thread_invariance(tmp_path):
     assert len(man["resolved"]["omega_grid_absolute"]) == 2
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    tasks in this process, so no worker is ever started."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("threads,cores,points,workers", [
+    (1000, 3, 2, 3),      # more threads than cores
+    (1000, 64, 2, 4),     # more threads than the 2 x 2 grid's points
+    (2, 64, 1, None),     # one point: serial, no pool
+    (1, 64, 2, None),
+])
+def test_scan_threads_clamped_to_tasks_and_cores(tmp_path, monkeypatch, threads,
+                                                 cores, points, workers):
+    import os
+    import pairbath.cli_runner
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(pairbath.cli_runner, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    grid = {"start": 0.5, "stop": 1.5, "points": points}
+    raw = {"geometry": {"kind": "explicit",
+                        "g_vectors": [[1.2, 0.0, 0.4], [0.0, 0.9, -0.2]]},
+           "scan": {"omega": grid, "tau": grid, "measurements": 5}}
+    cfg = validate_config(raw, command="scan")
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    assert cmd_scan(cfg, a, threads=threads) == 0
+    assert _RecordingPool.made == ([] if workers is None else [workers])
+    assert cmd_scan(cfg, b, threads=1) == 0
+    for name in ("scan.csv", "manifest.yaml"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_scan_pairing_region_straddles_resonance_line(tmp_path):
     # 8-spin dimer chain, omega and tau grids in g_eff units: the region
     # of maximal pairing must cover both sides of omega = 1/tau
@@ -238,13 +283,20 @@ def test_main_exit_code_extinction(tmp_path):
 
 
 def test_main_exit_code_capacity(tmp_path, capsys):
+    # 25 rounds: the Gram caches need about 40 PiB, so the memory check fires
     doc = {"geometry": {"kind": "explicit",
                         "g_vectors": [[0.5, 0.1, -0.3], [0.2, 0.0, 0.4]]},
            "protocol": {"omega": 1.0, "tau": 0.3, "measurements": 25},
-           "engine": {"name": "factored", "branch_cap": 4096}}
+           "engine": {"name": "factored"}}
     p = _write_yaml(tmp_path / "cap.yaml", doc)
     assert main(["run", "--config", p, "--out", str(tmp_path)]) == 4
-    assert "capacity" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "capacity" in err and "Gram caches" in err
+    # a manifest that still carries the removed branch cap is a config error
+    doc["engine"]["branch_cap"] = 4096
+    p = _write_yaml(tmp_path / "old.yaml", doc)
+    assert main(["run", "--config", p, "--out", str(tmp_path)]) == 2
+    assert "engine.branch_cap: unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tau,rc,rows", [
@@ -497,6 +549,43 @@ def test_main_sense_subcommand(tmp_path):
     man = yaml.safe_load((out / "manifest.yaml").read_text())
     assert man["resolved"]["resolves_side_features"] is True
     assert len(man["resolved"]["peaks"]) == 2
+
+
+SIDE_SENSE = {
+    "m": 16, "omega": 10.0, "epsilon": 1.0,
+    "species": [{"omega": 11.0, "g_vectors": [[0.45, 0.0, 0.12]]},
+                {"omega": 9.0, "g_vectors": [[0.40, 0.1, 0.10]]}],
+    "tau_grid": {"start": 0.055, "stop": 0.105, "points": 101},
+}
+
+
+@pytest.mark.parametrize("change,message", [
+    # passed validation and then died on tau < 0 (exit 1)
+    ({"time_grid": {"start": -0.5, "stop": 1.0, "points": 5}},
+     "sense.time_grid.start: must be >= 0"),
+    # a side resonance pi/(4(omega -+ epsilon)) does not exist; raised
+    # ZeroDivisionError once the scan had two peaks
+    ({"omega": 1.0, "epsilon": 1.0}, "sense.epsilon: must satisfy |epsilon| < omega"),
+    ({"omega": 10.0, "epsilon": -10.0}, "sense.epsilon: must satisfy"),
+], ids=["negative-time-grid", "epsilon-equals-omega", "epsilon-equals-minus-omega"])
+def test_main_sense_rejects_unphysical_grids(tmp_path, capsys, change, message):
+    p = _write_yaml(tmp_path / "s.yaml", {"sense": {**SIDE_SENSE, **change}})
+    assert main(["sense", "--config", p, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", ["tau_grid", "time_grid"])
+def test_main_sense_grid_memory_checked_before_allocating(tmp_path, capsys, grid):
+    # 10^12 points: the path operators would need about 1 PB
+    doc = {"sense": {**SIDE_SENSE,
+                     "time_grid": {"start": 0.0, "stop": 2.0, "points": 41}}}
+    doc["sense"][grid] = dict(doc["sense"][grid], points=10**12)
+    p = _write_yaml(tmp_path / "s.yaml", doc)
+    assert main(["sense", "--config", p, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "capacity" in err and "grid points" in err
+    assert not (tmp_path / "spectroscopy.csv").exists()
 
 
 def test_main_selftest_single_criterion(capsys):

@@ -7,7 +7,9 @@ golden/config_golden.json records what the validator returned for each
 case before the config schema became a field table: for a valid config
 the normalized dict and its yaml.safe_dump(sort_keys=False) text, for an
 invalid one the sorted dotted paths of its problems. CHANGED lists the
-cases whose result differs from that record on purpose.
+cases whose result differs from that record on purpose, and REMOVED_KEYS
+the keys dropped from the schema since, which valid records are compared
+without.
 
     PYTHONPATH=src python3 tests/test_config_golden.py
 
@@ -64,8 +66,8 @@ README_RUN = {
                  "measurements": 100, "alpha": 0.7071067811865476,
                  "beta": 0.7071067811865476, "dephasing_rate": 0.0,
                  "readout_time": None},
-    "engine": {"name": "dense", "dense_limit": 12, "branch_cap": 1048576,
-               "samples": 200, "sample_basis": "haar"},
+    "engine": {"name": "dense", "dense_limit": 12, "samples": 200,
+               "sample_basis": "haar"},
 }
 PERF_DEPHASING_RATES = (0.0, 5.5987094706077725e-09, 1.6796128411823318e-08,
                         5.5987094706077725e-08, 1.6796128411823318e-07)
@@ -178,6 +180,11 @@ VALID = [
      {"geometry": CHAIN,
       "engine": {"name": "montecarlo", "dense_limit": 4, "branch_cap": 64,
                  "samples": 7, "sample_basis": "z", "initial_state": "haar",
+                 "purity_pairs": 9}}),
+    ("engine_every_remaining_key", "run",
+     {"geometry": CHAIN,
+      "engine": {"name": "montecarlo", "dense_limit": 4, "samples": 7,
+                 "sample_basis": "z", "initial_state": "haar",
                  "purity_pairs": 9}}),
     ("null_optional_sections", "run",
      {"geometry": CHAIN, "coupling": None, "protocol": None, "engine": None}),
@@ -301,6 +308,12 @@ INVALID = [
     ("scan_dense_limit_other_engine", "scan",
      {"geometry": {"kind": "chain", "n": 16, "spacing": 1.0, "z0": 5.0},
       "scan": {"omega": GRID, "tau": GRID}, "engine": {"name": "factored"}}),
+    ("sense_time_grid_negative", "sense",
+     {"sense": _with(SENSE, time_grid={"start": -0.5, "stop": 1.0, "points": 5})}),
+    ("sense_epsilon_equals_omega", "sense",
+     {"sense": _with(PERF_SENSE, omega=1.0, epsilon=1.0)}),
+    ("sense_epsilon_equals_minus_omega", "sense",
+     {"sense": _with(PERF_SENSE, omega=10.0, epsilon=-10.0)}),
 ]
 
 CASES = VALID + INVALID
@@ -340,7 +353,19 @@ CHANGED = {
     "sense_everything_missing": ["sense.species", "sense.tau_grid"],
     # scan runs the dense engine whatever engine.name says
     "scan_dense_limit_other_engine": ["engine.dense_limit"],
+    # engine.branch_cap is gone: the memory check bounds the branch count
+    "capacity": ["engine.branch_cap"],
+    "engine_every_key": ["engine.branch_cap"],
+    # coherence times must be >= 0, as the propagators require
+    "sense_time_grid_negative": ["sense.time_grid.start"],
+    # both side resonances pi/(4(omega +- epsilon)) must exist
+    "sense_epsilon_equals_omega": ["sense.epsilon"],
+    "sense_epsilon_equals_minus_omega": ["sense.epsilon"],
 }
+
+# keys removed from the schema since the golden record; a valid record is
+# compared without them, in its config and in its yaml text
+REMOVED_KEYS = (("engine", "branch_cap"),)
 
 
 def outcome(command: str, raw: dict) -> dict:
@@ -355,6 +380,15 @@ def outcome(command: str, raw: dict) -> dict:
 
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
+
+
+def _without_removed_keys(record: dict) -> dict:
+    cfg = copy.deepcopy(record["config"])
+    text = record["yaml"]
+    for section, key in REMOVED_KEYS:
+        if key in cfg.get(section, {}):
+            text = text.replace(f"  {key}: {cfg[section].pop(key)}\n", "", 1)
+    return {"config": cfg, "yaml": text}
 
 
 def test_corpus_names_are_unique_and_recorded():
@@ -378,6 +412,7 @@ def test_golden(name, command, raw):
     if "errors" in want:
         assert got == want
     else:
+        want = _without_removed_keys(want)
         assert got["config"] == want["config"]
         assert got["yaml"] == want["yaml"]
 

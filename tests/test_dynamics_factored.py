@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pairbath.errors import CapacityError
 from pairbath.spin_core import CouplingSet, branch_propagators
 from pairbath.dynamics_dense import (
     ProtocolConfig,
@@ -46,13 +45,15 @@ def test_from_product_state_shape_and_validation():
 
 def test_extend_single_round_weights():
     c = CouplingSet(np.array([[0.3, -0.2, 0.9]]), 1.1)
-    pairs = branch_propagators(c, 0.4)
+    up, um = branch_propagators(c.g_vectors, c.omega, 0.4)
     ens = from_product_state([[1, 0]])
-    ens = extend(ens, pairs, 2**-0.5, 2**-0.5)
+    ens = extend(ens, up, um, 2**-0.5, 2**-0.5)
     assert ens.n_branches == 2
     assert np.allclose(ens.weights, [0.5, 0.5])
-    assert np.abs(ens.vectors[0, 0] - pairs[0].u_plus[:, 0]).max() < 1e-14
-    assert np.abs(ens.vectors[1, 0] - pairs[0].u_minus[:, 0]).max() < 1e-14
+    assert np.abs(ens.vectors[0, 0] - up[0][:, 0]).max() < 1e-14
+    assert np.abs(ens.vectors[1, 0] - um[0][:, 0]).max() < 1e-14
+    with pytest.raises(ValueError, match="for 1 spins"):
+        extend(ens, up[[0, 0]], um[[0, 0]], 2**-0.5, 2**-0.5)
 
 
 def test_longitudinal_norm_closed_form():
@@ -90,25 +91,15 @@ def test_gram_cache_matches_scratch():
     rng = np.random.default_rng(32)
     n = 4
     c = CouplingSet(rng.normal(0, 1.0, (n, 3)), 2.0)
-    pairs = branch_propagators(c, 0.55)
+    up, um = branch_propagators(c.g_vectors, c.omega, 0.55)
     ens = from_product_state(_rand_product(rng, n))
     for _ in range(5):
-        ens = extend(ens, pairs, 0.6, 0.8)
+        ens = extend(ens, up, um, 0.6, 0.8)
     # recompute every per-spin Gram from the branch vectors directly
     for k in range(n):
         vk = ens.vectors[:, k, :]
         scratch = vk.conj() @ vk.T
         assert np.abs(ens.grams[k] - scratch).max() < 1e-12
-
-
-def test_branch_cap_enforced():
-    c = CouplingSet(np.array([[0.5, 0.1, -0.3], [0.2, 0.0, 0.4]]), 1.0)
-    pairs = branch_propagators(c, 0.3)
-    ens = from_product_state([[1, 0], [0, 1]])
-    ens = extend(ens, pairs, 2**-0.5, 2**-0.5, branch_cap=4)
-    ens = extend(ens, pairs, 2**-0.5, 2**-0.5, branch_cap=4)
-    with pytest.raises(CapacityError, match="Monte Carlo"):
-        extend(ens, pairs, 2**-0.5, 2**-0.5, branch_cap=4)
 
 
 def test_success_probability_large_ensemble_blocked():

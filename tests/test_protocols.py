@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from pairbath.spin_core import CouplingSet, single_spin_propagators
+from pairbath.spin_core import CouplingSet
 from pairbath.analysis import phased_singlet
 from pairbath.protocols import (
     FLIP_THRESHOLD,
@@ -11,14 +14,28 @@ from pairbath.protocols import (
     coherence_trace,
     find_local_maxima,
     resolves_side_features,
-    sequence_flip_probability,
     spectroscopy_scan,
     verification_scan,
 )
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SZ = np.diag([1.0, -1.0]).astype(complex)
 _MIXED2 = np.eye(2, dtype=complex) / 2
+
+
+def _expm_pair(g, omega, tau):
+    """U+ and U- of one spin from the matrix exponential,
+    U_pm = expm(+i (omega z +- g).sigma tau), independent of spin_core."""
+    def gen(v):
+        return v[0] * _SX + v[1] * _SY + (v[2] + omega) * _SZ
+    g = np.asarray(g, dtype=float)
+    return expm(1j * tau * gen(g)), expm(1j * tau * gen(-g))
+
+
+def _one_spin_groups(spins):
+    """A species bath of mixed one-spin groups from [(g, omega)]."""
+    return SpeciesBath(tuple(SpeciesGroup(om, [g]) for g, om in spins))
 
 
 def _flip_prob_dense(spins, m, tau, rho_b):
@@ -28,9 +45,9 @@ def _flip_prob_dense(spins, m, tau, rho_b):
     bp = np.eye(1, dtype=complex)
     bm = np.eye(1, dtype=complex)
     for g, om in spins:
-        pair = single_spin_propagators(np.asarray(g, float), om, tau)
-        bp = np.kron(bp, pair.u_plus)
-        bm = np.kron(bm, pair.u_minus)
+        u_plus, u_minus = _expm_pair(g, om, tau)
+        bp = np.kron(bp, u_plus)
+        bm = np.kron(bm, u_minus)
     u = np.zeros((2 * dimb, 2 * dimb), dtype=complex)
     u[:dimb, :dimb] = bp               # central |1> block
     u[dimb:, dimb:] = bm               # central |0> block
@@ -74,32 +91,36 @@ def test_species_bath_flattens_in_group_order():
         SpeciesGroup(2.0, np.array([[1.0, 0, 0], [0, 1.0, 0]])),
         SpeciesGroup(3.0, np.array([[0, 0, 1.0]])),
     ))
-    spins = bath.spins()
-    assert len(spins) == 3
-    assert spins[0][1] == 2.0 and spins[2][1] == 3.0
-    assert np.allclose(spins[2][0], [0, 0, 1.0])
+    g, omega = bath.spins()
+    assert g.shape == (3, 3) and omega.shape == (3,)
+    assert np.array_equal(omega, [2.0, 2.0, 3.0])
+    assert np.array_equal(g[2], [0, 0, 1.0])
 
 
 def test_echo_identity_with_no_coupling():
     # zero hyperfine coupling: the pi train refocuses the Larmor phase
     # exactly, so the central spin never flips, at any m or tau
-    spins = [(np.zeros(3), 7.0), (np.zeros(3), 3.0)]
-    blocks = [("one", _MIXED2, 0), ("one", _MIXED2, 1)]
+    bath = _one_spin_groups([(np.zeros(3), 7.0), (np.zeros(3), 3.0)])
     for m in (1, 2, 5, 16):
-        for tau in (0.05, 0.3, 1.7):
-            assert sequence_flip_probability(spins, blocks, m, tau) < 1e-12
+        scan = spectroscopy_scan(bath, [0.05, 0.3, 1.7], m=m)
+        assert np.abs(scan.signal).max() < 1e-12
     # empty bath too
-    assert sequence_flip_probability([], [], 8, 0.4) == 0.0
+    empty = SpeciesBath((SpeciesGroup(7.0, np.zeros((0, 3))),))
+    assert np.array_equal(spectroscopy_scan(empty, [0.4], m=8).signal, [0.0])
 
 
 def test_sequence_flip_matches_dense_oracle():
+    # one-point grids and a whole grid against the joint-space oracle
     rng = np.random.default_rng(7)
+    taus = [0.03, 0.07, 0.2]
     for m in (1, 2, 3, 4):
         spins = [(rng.normal(size=3), 10.0 + rng.normal()) for _ in range(3)]
-        blocks = [("one", _MIXED2, k) for k in range(3)]
-        got = sequence_flip_probability(spins, blocks, m, 0.07)
-        want = _flip_prob_dense(spins, m, 0.07, np.eye(8, dtype=complex) / 8)
-        assert abs(got - want) < 1e-12
+        want = [_flip_prob_dense(spins, m, tau, np.eye(8, dtype=complex) / 8)
+                for tau in taus]
+        bath = _one_spin_groups(spins)
+        assert np.abs(spectroscopy_scan(bath, [0.07], m=m).signal[0]
+                      - want[1]) < 1e-12
+        assert np.abs(spectroscopy_scan(bath, taus, m=m).signal - want).max() < 1e-12
 
 
 def test_sequence_flip_pair_blocks_match_dense_oracle():
@@ -107,12 +128,32 @@ def test_sequence_flip_pair_blocks_match_dense_oracle():
     sing = phased_singlet(0.0)
     rho4 = np.outer(sing, sing.conj())
     for m in (2, 5):
-        spins = [(rng.normal(size=3), 10.0 + rng.normal()) for _ in range(4)]
-        blocks = [("pair", rho4, 0, 1), ("one", _MIXED2, 2), ("one", _MIXED2, 3)]
-        got = sequence_flip_probability(spins, blocks, m, 0.05)
+        g = rng.normal(size=(4, 3))
+        omega = 10.0 + rng.normal(size=3)
+        bath = SpeciesBath((SpeciesGroup(omega[0], g[:2], "paired"),
+                            SpeciesGroup(omega[1], g[2:3]),
+                            SpeciesGroup(omega[2], g[3:])))
+        spins = list(zip(g, omega[[0, 0, 1, 2]]))
+        got = spectroscopy_scan(bath, [0.05], m=m).signal[0]
         rho_b = np.kron(rho4, np.eye(4, dtype=complex) / 4)
         want = _flip_prob_dense(spins, m, 0.05, rho_b)
         assert abs(got - want) < 1e-12
+
+
+def test_spectroscopy_peak_memory_does_not_grow_with_m():
+    # only the running (A1, A0) pair is kept, never a stack over m
+    rng = np.random.default_rng(9)
+    bath = SpeciesBath((SpeciesGroup(10.0, rng.normal(0, 0.4, (6, 3))),))
+    tau = np.linspace(0.05, 0.11, 300)
+    peaks = {}
+    for m in (4, 64):
+        tracemalloc.start()
+        spectroscopy_scan(bath, tau, m=m)
+        peaks[m] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    grid_array = tau.size * 6 * 64     # one array of shape (T, n, 2, 2)
+    assert peaks[64] < peaks[4] + grid_array
+    assert peaks[64] < 12 * grid_array
 
 
 def test_verification_contrast_example():
@@ -148,9 +189,9 @@ def test_verification_defaults_and_validation():
 
 def _rebuilt_path_operator(g, omega, tau, m):
     """A1^dag A0 after m blocks, rebuilt from the identity."""
-    pair = single_spin_propagators(g, omega, tau)
-    x = pair.u_plus @ pair.u_minus
-    y = pair.u_minus @ pair.u_plus
+    u_plus, u_minus = _expm_pair(g, omega, tau)
+    x = u_plus @ u_minus
+    y = u_minus @ u_plus
     a1 = np.eye(2, dtype=complex)
     a0 = np.eye(2, dtype=complex)
     for _ in range(m):
@@ -160,8 +201,8 @@ def _rebuilt_path_operator(g, omega, tau, m):
 
 @pytest.mark.parametrize("m_max", [1, 2, 50, 200])
 def test_verification_recurrence_matches_rebuild_per_m(m_max):
-    # the one-pass curve equals, bit for bit, rebuilding every path
-    # operator from scratch for each m
+    # the one-pass curve matches rebuilding every path operator from
+    # scratch for each m, from propagators of the matrix exponential
     rng = np.random.default_rng(60 + m_max)
     sing = phased_singlet(0.0)
     rho_pair = np.outer(sing, sing.conj())
@@ -186,7 +227,7 @@ def test_verification_recurrence_matches_rebuild_per_m(m_max):
                     for op in ops:
                         ov *= np.trace(rho_one[prep] @ op)
                 want.append(float(0.5 * (1.0 - np.real(ov))))
-            assert np.array_equal(got, np.array(want)), prep
+            assert np.abs(got - np.array(want)).max() < 1e-12, prep
 
 
 def test_verification_paired_alias():
@@ -228,8 +269,8 @@ def test_coherence_dense_state_matches_tag():
     for it, tt in enumerate(t):
         op = np.eye(1, dtype=complex)
         for g in c.g_vectors:
-            pair = single_spin_propagators(g, c.omega, tt)
-            op = np.kron(op, pair.u_minus.conj().T @ pair.u_plus)
+            u_plus, u_minus = _expm_pair(g, c.omega, tt)
+            op = np.kron(op, u_minus.conj().T @ u_plus)
         by_state[it] = abs(np.trace(op @ rho))
     assert np.abs(by_tag - by_state).max() < 1e-12
 
@@ -309,6 +350,34 @@ def test_side_species_resolved_only_when_split():
         assert abs(x - w) / w < 0.02
     merged = spectroscopy_scan(sides(0.0), tau, m=16)
     assert not resolves_side_features(merged, 10.0, 1.0)
+    # a side resonance pi/(4(omega - |eps|)) that does not exist is an error,
+    # not a division by zero or a match against a negative time
+    for omega, eps in ((1.0, 1.0), (10.0, -10.0), (10.0, 12.0)):
+        with pytest.raises(ValueError, match=r"\|epsilon\| < omega"):
+            resolves_side_features(split, omega, eps)
+
+
+def _local_maxima_loop(x, y, prominence):
+    """The point-by-point scan find_local_maxima replaces, as a reference."""
+    out = []
+    for i in range(1, len(y) - 1):
+        if y[i] >= y[i - 1] and y[i] >= y[i + 1] and (y[i] > y[i - 1] or y[i] > y[i + 1]):
+            drop = y[i] - max(y[:i].min(), y[i + 1:].min())
+            if drop >= prominence:
+                out.append((float(x[i]), float(y[i])))
+    return out
+
+
+def test_find_local_maxima_matches_loop():
+    # coarse rounding makes plateaus and ties; short inputs have no interior
+    rng = np.random.default_rng(53)
+    for _ in range(2000):
+        n = int(rng.integers(0, 30))
+        y = np.round(rng.uniform(0, 1, n), int(rng.integers(1, 3)))
+        x = np.linspace(0, 1, n)
+        for prominence in (0.0, 0.05, 0.2):
+            assert find_local_maxima(x, y, prominence) == _local_maxima_loop(
+                x, y, prominence)
 
 
 def test_find_local_maxima_synthetic():

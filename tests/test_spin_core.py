@@ -8,13 +8,13 @@ from pairbath.spin_core import (
     SIGMA_Z,
     CouplingSet,
     SpinGeometry,
+    branch_propagators,
     chain_geometry,
     dimer_chain_geometry,
     dipolar_couplings,
     effective_coupling,
     optimal_params,
     plane_geometry,
-    single_spin_propagators,
 )
 
 
@@ -22,57 +22,73 @@ def _sigma_dot(v):
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
+def _expm_pair(g, omega, tau):
+    """Independent oracle: U_pm = expm(+i (omega z +- g).sigma tau)."""
+    zhat = np.array([0.0, 0.0, 1.0])
+    return (expm(1j * tau * _sigma_dot(omega * zhat + g)),
+            expm(1j * tau * _sigma_dot(omega * zhat - g)))
+
+
 def test_propagators_unitary():
     rng = np.random.default_rng(3)
-    eye = np.eye(2)
-    for _ in range(200):
-        g = rng.normal(0, 2.0, 3)
-        omega = rng.uniform(0, 10)
-        tau = rng.uniform(0, 2.0)
-        pair = single_spin_propagators(g, omega, tau)
-        for u in (pair.u_plus, pair.u_minus):
-            assert np.abs(u.conj().T @ u - eye).max() < 1e-12
+    g = rng.normal(0, 2.0, (20, 3))
+    omega = rng.uniform(0, 10, 20)
+    tau = rng.uniform(0, 2.0, 10)
+    for u in branch_propagators(g, omega, tau):
+        assert u.shape == (10, 20, 2, 2)
+        uu = u.conj().swapaxes(-1, -2) @ u
+        assert np.abs(uu - np.eye(2)).max() < 1e-12
 
 
 def test_propagators_match_matrix_exponential():
-    # independent oracle: U_pm = expm(+i (omega z +- g).sigma tau)
+    # a tau grid times spins with one omega each, a zero field (d = 0 on
+    # both branches) and tau = 0 among them
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        g = rng.normal(0, 1.5, 3)
-        omega = rng.uniform(0, 6)
-        tau = rng.uniform(0.01, 1.5)
-        pair = single_spin_propagators(g, omega, tau)
-        zhat = np.array([0.0, 0.0, 1.0])
-        want_p = expm(1j * tau * _sigma_dot(omega * zhat + g))
-        want_m = expm(1j * tau * _sigma_dot(omega * zhat - g))
-        assert np.abs(pair.u_plus - want_p).max() < 1e-12
-        assert np.abs(pair.u_minus - want_m).max() < 1e-12
+    g = rng.normal(0, 1.5, (6, 3))
+    omega = rng.uniform(0, 6, 6)
+    g[2], omega[2] = 0.0, 0.0
+    tau = np.concatenate([[0.0], rng.uniform(0.01, 1.5, 8)]).reshape(3, 3)
+    up, um = branch_propagators(g, omega, tau)
+    assert up.shape == um.shape == (3, 3, 6, 2, 2)
+    for idx in np.ndindex(tau.shape):
+        for k in range(6):
+            want_p, want_m = _expm_pair(g[k], omega[k], tau[idx])
+            assert np.abs(up[idx][k] - want_p).max() < 1e-12
+            assert np.abs(um[idx][k] - want_m).max() < 1e-12
+    # a scalar tau and a shared omega drop the grid axes
+    up1, um1 = branch_propagators(g, 2.5, 0.7)
+    assert up1.shape == (6, 2, 2)
+    for k in range(6):
+        want_p, want_m = _expm_pair(g[k], 2.5, 0.7)
+        assert np.abs(up1[k] - want_p).max() < 1e-12
+        assert np.abs(um1[k] - want_m).max() < 1e-12
 
 
 def test_transverse_coupling_branches_share_frequency():
     # with g in the x-y plane, |omega z + g| = |omega z - g|, so the two
     # branches are rotations by the same angle about mirrored axes
-    g = np.array([0.8, -0.5, 0.0])
-    pair = single_spin_propagators(g, 2.0, 0.6)
-    tr_p = np.trace(pair.u_plus)
-    tr_m = np.trace(pair.u_minus)
-    assert abs(tr_p - tr_m) < 1e-12  # equal cos(d tau)
-    flipped = single_spin_propagators(-g, 2.0, 0.6)
-    assert np.abs(pair.u_minus - flipped.u_plus).max() < 1e-12
+    g = np.array([[0.8, -0.5, 0.0]])
+    up, um = branch_propagators(g, 2.0, 0.6)
+    assert abs(np.trace(up[0]) - np.trace(um[0])) < 1e-12  # equal cos(d tau)
+    flipped, _ = branch_propagators(-g, 2.0, 0.6)
+    assert np.abs(um - flipped).max() < 1e-12
 
 
 def test_degenerate_inputs_give_identity():
     eye = np.eye(2)
-    pair = single_spin_propagators(np.array([1.0, 0.0, 0.0]), 2.0, 0.0)
-    assert np.abs(pair.u_plus - eye).max() == 0.0
-    pair = single_spin_propagators(np.zeros(3), 0.0, 1.3)
-    assert np.abs(pair.u_plus - eye).max() == 0.0
-    assert np.abs(pair.u_minus - eye).max() == 0.0
+    up, um = branch_propagators([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [2.0, 0.0],
+                                [0.0, 1.3])
+    # tau = 0 for any field, and a zero field at any tau, exactly
+    for u in (up, um):
+        assert not np.isnan(u).any()
+        assert np.abs(u[0] - eye).max() == 0.0
+        assert np.abs(u[1, 1] - eye).max() == 0.0
 
 
 def test_negative_tau_rejected():
-    with pytest.raises(ValueError, match="tau"):
-        single_spin_propagators(np.array([1.0, 0, 0]), 1.0, -0.1)
+    for tau in (-0.1, [0.0, 0.5, -0.2]):
+        with pytest.raises(ValueError, match="tau"):
+            branch_propagators(np.array([[1.0, 0, 0]]), 1.0, tau)
 
 
 def test_chain_geometry_positions():
