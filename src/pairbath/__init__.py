@@ -22,9 +22,7 @@ from .dynamics_dense import (
     run_protocol,
 )
 from .dynamics_factored import (
-    BranchEnsemble,
     extend,
-    from_product_state,
     mixed_state_monte_carlo,
     reduced_density_matrix,
     run_factored,

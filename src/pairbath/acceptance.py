@@ -155,12 +155,12 @@ def criterion_2() -> tuple[bool, str]:
         c = CouplingSet(g, omega)
         psi = _product_vector(states)
         traj = run_protocol(np.outer(psi, psi.conj()), cfg, c)
-        ens, probs = run_factored(states, cfg, c)
+        state, probs = run_factored(states, cfg, c)
         worst = max(worst, float(np.abs(traj.cumulative_p - probs).max()))
         for i in range(n):
             for j in range(i + 1, n):
                 diff = np.abs(pair_rdm(traj.final_rho, n, i, j)
-                              - reduced_density_matrix(ens, i, j)).max()
+                              - reduced_density_matrix(state, i, j)).max()
                 worst = max(worst, float(diff))
     dt = time.perf_counter() - t0
     ok = worst < 1e-10 and dt < 60.0

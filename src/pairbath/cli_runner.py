@@ -27,7 +27,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,6 @@ from .dynamics_dense import (
     run_protocol,
 )
 from .dynamics_factored import (
-    from_product_state,
     mixed_state_monte_carlo,
     reduced_density_matrix,
     run_factored,
@@ -470,17 +468,10 @@ def _protocol_config(cfg: dict, omega: float, tau: float) -> ProtocolConfig:
 # run
 # ---------------------------------------------------------------------------
 
-def _until_extinct(cum: np.ndarray, floor: float) -> tuple[np.ndarray, str]:
-    """Conditional probabilities of a cumulative series (ratios of
-    consecutive entries) and the run's status. As in the dense round, the
-    run ends before the first step whose conditional probability is below
-    floor, so only the steps before it are returned."""
-    prev = np.concatenate([[1.0], cum[:-1]])
-    cond = np.divide(cum, prev, out=np.zeros_like(cum), where=prev > 0)
-    low = np.flatnonzero(cond < floor)
-    if low.size:
-        return cond[:low[0]], "extinct"
-    return cond, "completed"
+def _factored_rows(cum: np.ndarray, purity: float) -> list:
+    """Trajectory rows of a cumulative series, conditional p as ratios."""
+    cond = cum / np.concatenate([[1.0], cum[:-1]])
+    return [(s + 1, cond[s], cum[s], purity) for s in range(len(cum))]
 
 
 def _pairs_rows(rdms: dict, n: int):
@@ -508,7 +499,6 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
         traj_rows = [(s + 1, traj.conditional_p[s], traj.cumulative_p[s],
                       traj.purity[s]) for s in range(steps)]
         rdms = all_pair_rdms(traj.final_rho, n)
-        status = traj.status
         final_purity = float(traj.purity[-1]) if steps else float("nan")
     elif eng["name"] == "factored":
         if eng["initial_state"] == "haar":
@@ -516,42 +506,30 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
             states = _haar_product(np.random.default_rng(cfg["seed"]), n)
         else:
             states = np.tile(np.array([1.0, 0.0], dtype=complex), (n, 1))
-        ens, cum = run_factored(states, pcfg, c)
-        cond, status = _until_extinct(cum, pcfg.extinction_floor)
-        if len(cond) < len(cum):
-            # extinct: the pairs describe the state of the last written row
-            ens = (run_factored(states, replace(pcfg, measurements=len(cond)), c)[0]
-                   if len(cond) else from_product_state(states))
+        state, cum = run_factored(states, pcfg, c)
         # conditioned pure states stay pure
-        traj_rows = [(s + 1, cond[s], cum[s], 1.0) for s in range(len(cond))]
-        rdms = {(i, j): reduced_density_matrix(ens, i, j)
+        traj_rows = _factored_rows(cum, 1.0)
+        rdms = {(i, j): reduced_density_matrix(state, i, j)
                 for i in range(n) for j in range(i + 1, n)}
         final_purity = 1.0
     else:
         pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-        def monte_carlo(rounds: int):
-            return mixed_state_monte_carlo(
-                c, replace(pcfg, measurements=rounds), samples=eng["samples"],
-                seed=cfg["seed"], pair_list=pair_list, basis=eng["sample_basis"],
-                purity_pair_budget=eng["purity_pairs"])
-        res = monte_carlo(pcfg.measurements)
-        cum = res.success_probability
-        cond, status = _until_extinct(cum, pcfg.extinction_floor)
-        traj_rows = [(s + 1, cond[s], cum[s], float("nan"))
-                     for s in range(len(cond))]
-        if not len(cond):
+        res = mixed_state_monte_carlo(
+            c, pcfg, samples=eng["samples"], seed=cfg["seed"],
+            pair_list=pair_list, basis=eng["sample_basis"],
+            purity_pair_budget=eng["purity_pairs"])
+        traj_rows = _factored_rows(res.success_probability, float("nan"))
+        if traj_rows:
+            rdms = res.pair_rdms
+            purity_estimate = float(res.purity_estimate)
+        else:
             # extinct at the first step: the pairs of the maximally mixed start
             rdms = {p: np.eye(4, dtype=complex) / 4 for p in pair_list}
             purity_estimate = 2.0 ** -n
-        else:
-            if len(cond) < len(cum):
-                # extinct: the same samples, up to the last written row
-                res = monte_carlo(len(cond))
-            rdms = res.pair_rdms
-            purity_estimate = float(res.purity_estimate)
         final_purity = purity_estimate
 
+    # every engine stops before its first extinct round
+    status = "completed" if len(traj_rows) == pcfg.measurements else "extinct"
     # the last written row's, so a cut run reports the step it ended at
     final_cum = float(traj_rows[-1][2]) if traj_rows else float("nan")
     _write_table(out_dir / "trajectory.csv",

@@ -1,23 +1,22 @@
-"""Large-register engine: V^m on a product state as a sum of 2^m products.
+"""Large-register engine: V^m on a block of state vectors, matrix free.
 
-Applying V = |alpha|^2 U+ + |beta|^2 U- to a product state m times yields
-a sum over the 2^m branch words b in {+,-}^m, each branch again a product
-state: spin k carries the ordered product of its own 2x2 branch factors.
-All scalar observables reduce to the per-spin Gram matrices
-
-    G_k[a, b] = <v_{a,k} | v_{b,k}>
-
-via P = sum_{a,b} conj(w_a) w_b prod_k G_k[a,b]. Unitarity makes the
-diagonal blocks of each extension step trivial (G'_{00} = G'_{11} = G), so
-one extension costs a single 2x2-sandwich gemm per spin for the cross
-block, O(4^m N) in memory. No truncation is applied. Before the first
-round run_factored checks that the last two Gram caches fit in physical
-memory, and raises CapacityError if they do not.
+A block holds r pure states of N spins as the columns of a (2^N, r)
+complex array, spin 0 the most significant bit of the row index as in the
+dense engine. One round maps every column psi to |alpha|^2 U+ psi +
+|beta|^2 U- psi without forming U+- or V: each run of up to FUSE
+consecutive spins is fused into one Kronecker factor, applied as one
+matmul on a reshaped view (Hams & De Raedt, PRE 62, 4365 (2000)). The
+block is never renormalized, so its mean squared column norm after m
+rounds is the cumulative success probability P_m, free of cancellation,
+and a round's conditional p is the ratio of two consecutive ones. Memory
+is BLOCKS block-sized arrays at any number of rounds, checked before the
+block is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -25,163 +24,120 @@ from .dynamics_dense import ProtocolConfig
 from .errors import ConfigError, require_memory
 from .spin_core import CouplingSet, branch_propagators
 
-# rows per block in the deterministic Gram reductions; fixed so that the
-# summation order never depends on worker count or array layout
-REDUCE_BLOCK = 256
+# spins per Kronecker factor, so a factor is at most 32 x 32
+FUSE = 5
+
+# block-sized complex arrays alive at the engine's peak: the block, the
+# round's sum and the input and output of one factor's matmul. Peaks read
+# with tracemalloc at N=16, r = 1 and 16: 4.0 blocks in a round, 2.0 in a
+# pair RDM, plus under 1 MB that does not grow with the block.
+BLOCKS = 4
 
 
-@dataclass(frozen=True)
-class BranchEnsemble:
-    """Sum of weighted product states with per-spin Gram caches.
+def _apply(u: np.ndarray, state: np.ndarray, fuse: int = FUSE) -> np.ndarray:
+    """(kron of the (N, 2, 2) stack u) @ state, one matmul per fused factor."""
+    one = np.eye(1, dtype=complex)
+    for lo in range(0, len(u), fuse):
+        factor = reduce(np.kron, u[lo:lo + fuse], one)
+        view = state.reshape(2**lo, len(factor), -1)
+        state = np.matmul(factor, view).reshape(state.shape)
+    return state
 
-    vectors: (B, N, 2) complex, branch b's state of spin k is vectors[b, k]
-    weights: (B,) complex branch scalars
-    grams:   (N, B, B) complex, grams[k][a, b] = <v_{a,k}|v_{b,k}>
+
+def extend(state: np.ndarray, up: np.ndarray, um: np.ndarray,
+           alpha: complex, beta: complex) -> np.ndarray:
+    """One round on the block; up and um are the spins' (N, 2, 2) propagators."""
+    n = state.shape[0].bit_length() - 1
+    if up.shape != (n, 2, 2) or um.shape != (n, 2, 2):
+        raise ValueError(f"propagators of shape {up.shape} and {um.shape} "
+                         f"for {n} spins")
+    out = _apply(up, state)
+    out *= abs(alpha) ** 2
+    part = _apply(um, state)
+    part *= abs(beta) ** 2
+    out += part
+    return out
+
+
+def success_probability(state: np.ndarray) -> float:
+    """Mean squared column norm: ||V^m psi||^2 averaged over the columns."""
+    return float(np.vdot(state, state).real / state.shape[1])
+
+
+def reduced_density_matrix(state: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Normalized two-spin RDM of (i, j), summed over the block's columns."""
+    num, norm = _rdm_unnormalized(state, i, j)
+    if norm <= 0:
+        raise ValueError("block has zero norm, no conditional state exists")
+    rho = num / norm
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _rdm_unnormalized(state: np.ndarray, i: int, j: int) -> tuple[np.ndarray, float]:
+    """(sum over columns of Tr_rest |psi><psi| in basis order (i, j), its
+    trace); one copy moves the two spins to the front as contiguous rows."""
+    if i == j:
+        raise ValueError(f"need two distinct spins, got ({i}, {j})")
+    lo, hi = min(i, j), max(i, j)
+    t = state.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, -1)
+    rows = np.ascontiguousarray(t.transpose(1, 3, 0, 2, 4)).reshape(4, -1)
+    rho = np.array([[np.vdot(b, a) for b in rows] for a in rows])
+    if i > j:
+        rho = rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    return rho, float(np.trace(rho).real)
+
+
+def _propagate(states: np.ndarray, cfg: ProtocolConfig,
+               c: CouplingSet) -> tuple[np.ndarray, np.ndarray]:
+    """Rounds on the block of the products of the (N, 2, r) unit vectors
+    states, up to before the first round whose conditional p is below the
+    floor: (block after the last kept round, cumulative p of each)."""
+    if cfg.dephasing_rate > 0:
+        raise ConfigError(
+            f"dephasing_rate {cfg.dephasing_rate!r}: the factored and montecarlo "
+            "engines do not model readout dephasing; use the dense engine")
+    n, _, r = states.shape
+    require_memory(BLOCKS * r * 16 * 2**n,
+                   f"{BLOCKS} blocks of 2^{n} x {r} complex amplitudes",
+                   "use fewer spins or samples")
+    up, um = branch_propagators(c.g_vectors, c.omega, cfg.tau)
+    state = reduce(lambda b, s: (b[:, None, :] * s).reshape(-1, r), states,
+                   np.ones((1, r), dtype=complex))
+    cum, prev = [], 1.0
+    for _ in range(cfg.measurements):
+        nxt = extend(state, up, um, cfg.alpha, cfg.beta)
+        p = success_probability(nxt)
+        if not p / prev >= cfg.extinction_floor:
+            break
+        state, prev = nxt, p
+        cum.append(p)
+    return state, np.array(cum)
+
+
+def run_factored(spin_states, cfg: ProtocolConfig,
+                 c: CouplingSet) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate one product state, one (2,) vector per spin.
+
+    Returns the final (2^N, 1) block and the cumulative success probability
+    of each kept round; fewer than cfg.measurements rows mean the run went
+    extinct. Readout dephasing is not modelled, so a config that asks for
+    it is rejected rather than run without it.
     """
-
-    vectors: np.ndarray
-    weights: np.ndarray
-    grams: np.ndarray
-
-    @property
-    def n_branches(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def n_spins(self) -> int:
-        return self.vectors.shape[1]
-
-
-def from_product_state(spin_states) -> BranchEnsemble:
-    """Single-branch ensemble from one product state, one (2,) vector per spin."""
     vecs = np.asarray(spin_states, dtype=complex)
     if vecs.ndim != 2 or vecs.shape[1] != 2:
         raise ValueError(f"expected (N, 2) spin states, got {vecs.shape}")
     norms = np.linalg.norm(vecs, axis=1)
     if np.any(norms == 0):
         raise ValueError("zero-norm spin state")
-    vecs = vecs / norms[:, None]
-    n = vecs.shape[0]
-    grams = np.ones((n, 1, 1), dtype=complex)
-    return BranchEnsemble(vecs[None, :, :].copy(), np.ones(1, dtype=complex), grams)
-
-
-def extend(ens: BranchEnsemble, up: np.ndarray, um: np.ndarray,
-           alpha: complex, beta: complex) -> BranchEnsemble:
-    """One measurement round: branch count doubles.
-
-    up and um are the (N, 2, 2) branch propagators of the spins. Appended
-    bit 0 applies U+ to every spin with weight factor |alpha|^2, bit 1
-    applies U- with |beta|^2. Gram update is incremental: the
-    same-bit blocks are invariant under the joint unitaries, and only
-    G01[a, b] = <v_a | U+^dag U- | v_b> needs fresh gemms (G10 = G01^dag).
-    """
-    b, n = ens.n_branches, ens.n_spins
-    if up.shape != (n, 2, 2) or um.shape != (n, 2, 2):
-        raise ValueError(f"propagators of shape {up.shape} and {um.shape} "
-                         f"for {n} spins")
-
-    new_vecs = np.empty((2 * b, n, 2), dtype=complex)
-    new_vecs[:b] = np.einsum("kij,bkj->bki", up, ens.vectors)
-    new_vecs[b:] = np.einsum("kij,bkj->bki", um, ens.vectors)
-
-    new_weights = np.concatenate([abs(alpha) ** 2 * ens.weights,
-                                  abs(beta) ** 2 * ens.weights])
-
-    new_grams = np.empty((n, 2 * b, 2 * b), dtype=complex)
-    w = np.einsum("kji,kjl->kil", up.conj(), um)  # U+^dag U- per spin
-    for k in range(n):
-        vk = ens.vectors[:, k, :]                 # (B, 2)
-        cross = vk.conj() @ w[k] @ vk.T           # (B, B)
-        new_grams[k, :b, :b] = ens.grams[k]
-        new_grams[k, b:, b:] = ens.grams[k]
-        new_grams[k, :b, b:] = cross
-        new_grams[k, b:, :b] = cross.conj().T
-    return BranchEnsemble(new_vecs, new_weights, new_grams)
-
-
-def _blocked_bilinear(weights: np.ndarray, prod: np.ndarray) -> complex:
-    """sum_{a,b} conj(w_a) w_b prod[a, b] in fixed block order."""
-    b = len(weights)
-    total = 0.0 + 0.0j
-    for lo in range(0, b, REDUCE_BLOCK):
-        hi = min(lo + REDUCE_BLOCK, b)
-        total += weights[lo:hi].conj() @ prod[lo:hi] @ weights
-    return total
-
-
-def gram_product(ens: BranchEnsemble, exclude: tuple[int, ...] = ()) -> np.ndarray:
-    """Elementwise product over spins of the Gram matrices, optionally
-    excluding some spins. Fixed spin order keeps results deterministic."""
-    b = ens.n_branches
-    out = np.ones((b, b), dtype=complex)
-    for k in range(ens.n_spins):
-        if k in exclude:
-            continue
-        out *= ens.grams[k]
-    return out
-
-
-def success_probability(ens: BranchEnsemble) -> float:
-    """Cumulative probability P = ||V^m psi||^2 = sum conj(w_a) w_b prod_k G_k."""
-    val = _blocked_bilinear(ens.weights, gram_product(ens))
-    return float(np.real(val))
-
-
-def reduced_density_matrix(ens: BranchEnsemble, i: int, j: int) -> np.ndarray:
-    """Normalized two-spin RDM of (i, j) straight from the branch sum."""
-    num, norm = _rdm_unnormalized(ens, i, j)
-    if norm <= 0:
-        raise ValueError("ensemble has zero norm, no conditional state exists")
-    rho = num / norm
-    return 0.5 * (rho + rho.conj().T)
-
-
-def _rdm_unnormalized(ens: BranchEnsemble, i: int, j: int) -> tuple[np.ndarray, float]:
-    if i == j:
-        raise ValueError(f"need two distinct spins, got ({i}, {j})")
-    w = gram_product(ens, exclude=(i, j))
-    w = ens.weights.conj()[:, None] * ens.weights[None, :] * w
-    vi = ens.vectors[:, i, :]
-    vj = ens.vectors[:, j, :]
-    rho = np.einsum("ab,bs,bt,ap,aq->stpq", w, vi, vj, vi.conj(), vj.conj(),
-                    optimize=True).reshape(4, 4)
-    norm = float(np.real(np.trace(rho)))
-    return rho, norm
+    return _propagate((vecs / norms[:, None])[:, :, None], cfg, c)
 
 
 @dataclass
 class MonteCarloResult:
-    success_probability: np.ndarray   # cumulative, per step
+    success_probability: np.ndarray   # cumulative, per kept step
     pair_rdms: dict
     purity_estimate: float
     samples: int
-
-
-def run_factored(spin_states, cfg: ProtocolConfig,
-                 c: CouplingSet) -> tuple[BranchEnsemble, np.ndarray]:
-    """Propagate one product state through cfg.measurements rounds.
-
-    Returns the final ensemble and the cumulative success probability
-    after each round. Readout dephasing is not modelled, so a config that
-    asks for it is rejected rather than run without it.
-    """
-    if cfg.dephasing_rate > 0:
-        raise ConfigError(
-            f"dephasing_rate {cfg.dephasing_rate!r}: the factored and montecarlo "
-            "engines do not model readout dephasing; use the dense engine")
-    n, rounds = len(spin_states), cfg.measurements
-    # bytes of the last Gram cache and the one it is built from
-    require_memory(n * 16 * (4**rounds + 4 ** (rounds - 1)),
-                   f"the Gram caches of {rounds} rounds on {n} spins",
-                   "use fewer measurements or the dense engine")
-    up, um = branch_propagators(c.g_vectors, c.omega, cfg.tau)
-    ens = from_product_state(spin_states)
-    probs = np.empty(cfg.measurements)
-    for m in range(cfg.measurements):
-        ens = extend(ens, up, um, cfg.alpha, cfg.beta)
-        probs[m] = success_probability(ens)
-    return ens, probs
 
 
 def _haar_product(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -204,77 +160,43 @@ def mixed_state_monte_carlo(c: CouplingSet, cfg: ProtocolConfig, samples: int,
     Each spin is drawn independently (Haar by default, +-z with
     basis="z"), so the sample average of |psi><psi| is exactly the mixed
     state and every accumulated unnormalized observable is unbiased for
-    V^M rho0 V^dag^M by linearity. Normalized quantities (pair RDMs) are
-    ratio estimates; the purity estimate uses cross-sample overlaps and is
-    biased low at finite R. Deterministic for a fixed seed.
+    V^M rho0 V^dag^M by linearity. The samples are the columns of one
+    block, so all of them stop at the first round whose conditional p,
+    over the samples, is below the floor. Pair RDMs are ratio estimates;
+    the purity estimate uses cross-sample overlaps and is biased low at
+    finite R. Deterministic for a fixed seed.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if basis not in ("haar", "z"):
         raise ValueError(f"unknown sampling basis {basis!r}")
     draw = _haar_product if basis == "haar" else _zbasis_product
-    n = c.n_spins
     streams = np.random.SeedSequence(seed).spawn(samples)
-
-    # cross-sample purity needs k samples kept around, k(k-1)/2 >= budget
-    keep = 2
-    while keep * (keep - 1) // 2 < purity_pair_budget and keep < samples:
-        keep += 1
-
-    cum = np.zeros(cfg.measurements)
-    norm_sum = 0.0
-    rdm_num = {p: np.zeros((4, 4), dtype=complex) for p in (pair_list or [])}
-    rdm_den = {p: 0.0 for p in (pair_list or [])}
-    kept = []   # (vectors, weights) of the first samples, for the purity
-    for s in range(samples):
-        rng = np.random.default_rng(streams[s])
-        ens, probs = run_factored(draw(rng, n), cfg, c)
-        cum += probs
-        norm_sum += probs[-1]
-        for p in rdm_num:
-            num, den = _rdm_unnormalized(ens, *p)
-            rdm_num[p] += num
-            rdm_den[p] += den
-        if len(kept) < keep:
-            kept.append((ens.vectors, ens.weights))
-    cum /= samples
-
-    pair_rdms = {}
-    for p, num in rdm_num.items():
-        rho = num / rdm_den[p]
-        pair_rdms[p] = 0.5 * (rho + rho.conj().T)
-
-    pur = _purity_from_samples(kept, budget=purity_pair_budget,
-                               mean_norm=norm_sum / samples)
-    return MonteCarloResult(success_probability=cum, pair_rdms=pair_rdms,
-                            purity_estimate=pur, samples=samples)
+    states = np.stack([draw(np.random.default_rng(s), c.n_spins)
+                       for s in streams], axis=-1)
+    state, cum = _propagate(states, cfg, c)
+    return MonteCarloResult(
+        success_probability=cum, samples=samples,
+        pair_rdms={p: reduced_density_matrix(state, *p) for p in pair_list or ()},
+        purity_estimate=_purity_from_samples(state, purity_pair_budget))
 
 
-def _cross_gram(s1: tuple, s2: tuple) -> complex:
-    """<V^m psi_1 | V^m psi_2> across two samples with the same history,
-    each given as the (vectors, weights) of its ensemble."""
-    (v1, w1), (v2, w2) = s1, s2
-    prod = np.ones((len(w1), len(w2)), dtype=complex)
-    for k in range(v1.shape[1]):
-        prod *= v1[:, k, :].conj() @ v2[:, k, :].T
-    return w1.conj() @ prod @ w2
-
-
-def _purity_from_samples(samples: list, budget: int, mean_norm: float) -> float:
+def _purity_from_samples(state: np.ndarray, budget: int) -> float:
     """Cross-sample purity estimate of the conditional state.
 
     |<V^m psi_a | V^m psi_b>|^2 averaged over distinct sample pairs is an
     unbiased estimate of Tr[(V^m rho0 V^dag^m)^2] (independent Haar draws
     average to rho0 on each side); dividing by the squared mean norm gives
-    the normalized purity. The pair set is truncated deterministically to
-    the budget; the ratio makes this an approximate lower-bound estimate.
+    the normalized purity. The pairs a < b of the first k columns, k the
+    fewest with k(k-1)/2 >= budget, are taken in row-major order and
+    truncated to the budget; the ratio makes this an approximate
+    lower-bound estimate.
     """
-    r = len(samples)
-    if r < 2 or mean_norm <= 0:
+    keep, mean_norm = 2, success_probability(state)
+    while keep * (keep - 1) // 2 < budget and keep < state.shape[1]:
+        keep += 1
+    if state.shape[1] < 2 or mean_norm <= 0:
         return float("nan")
-    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
-    pairs = pairs[:budget]
-    acc = 0.0
-    for a, b in pairs:
-        acc += abs(_cross_gram(samples[a], samples[b])) ** 2
-    return float(acc / len(pairs) / mean_norm**2)
+    a, b = (idx[:budget] for idx in np.triu_indices(keep, 1))
+    overlaps = (state[:, :keep].conj().T @ state[:, :keep])[a, b]
+    return float(np.sum(np.abs(overlaps) ** 2) / len(a) / mean_norm**2)

@@ -282,16 +282,19 @@ def test_main_exit_code_extinction(tmp_path):
     assert man["resolved"]["status"] == "extinct"
 
 
+# 40 spins: one state vector of 2^40 complex amplitudes takes 16 TiB
+HUGE_BATH = {"kind": "explicit",
+             "g_vectors": [[0.5, 0.01 * k, -0.3] for k in range(40)]}
+
+
 def test_main_exit_code_capacity(tmp_path, capsys):
-    # 25 rounds: the Gram caches need about 40 PiB, so the memory check fires
-    doc = {"geometry": {"kind": "explicit",
-                        "g_vectors": [[0.5, 0.1, -0.3], [0.2, 0.0, 0.4]]},
-           "protocol": {"omega": 1.0, "tau": 0.3, "measurements": 25},
+    doc = {"geometry": HUGE_BATH,
+           "protocol": {"omega": 1.0, "tau": 0.3, "measurements": 3},
            "engine": {"name": "factored"}}
     p = _write_yaml(tmp_path / "cap.yaml", doc)
     assert main(["run", "--config", p, "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
-    assert "capacity" in err and "Gram caches" in err
+    assert "capacity" in err and "blocks of 2^40 x 1 complex amplitudes" in err
     # a manifest that still carries the removed branch cap is a config error
     doc["engine"]["branch_cap"] = 4096
     p = _write_yaml(tmp_path / "old.yaml", doc)
@@ -354,10 +357,14 @@ def test_extinct_run_pairs_describe_start_state(tmp_path, capsys, engine):
 def test_extinct_run_pairs_describe_last_row(tmp_path, monkeypatch, engine):
     # a run cut after two of four steps reports the pairs, and for
     # montecarlo the purity estimate, of a completed two-step run
-    import pairbath.cli_runner as cli
+    import pairbath.dynamics_factored as df
+    real_extend, calls = df.extend, []
 
-    def cut_after_two(cum, floor):
-        return np.divide(cum, np.concatenate([[1.0], cum[:-1]]))[:2], "extinct"
+    def zero_on_third_call(state, *args):
+        # the third round leaves nothing: its conditional p is 0
+        calls.append(1)
+        out = real_extend(state, *args)
+        return np.zeros_like(out) if len(calls) == 3 else out
     doc = {"geometry": {"kind": "explicit",
                         "g_vectors": [[0.5, 0.1, -0.3], [0.2, 0.0, 0.4],
                                       [-0.3, 0.2, 0.1]]},
@@ -366,9 +373,10 @@ def test_extinct_run_pairs_describe_last_row(tmp_path, monkeypatch, engine):
     assert main(["run", "--config", _write_yaml(tmp_path / "two.yaml", doc),
                  "--out", str(tmp_path / "two")]) == 0
     doc["protocol"]["measurements"] = 4
-    monkeypatch.setattr(cli, "_until_extinct", cut_after_two)
+    monkeypatch.setattr(df, "extend", zero_on_third_call)
     assert main(["run", "--config", _write_yaml(tmp_path / "four.yaml", doc),
                  "--out", str(tmp_path / "four")]) == 3
+    assert len(calls) == 3
     for name in ("trajectory.csv", "pairs.csv"):
         assert ((tmp_path / "four" / name).read_bytes()
                 == (tmp_path / "two" / name).read_bytes())
@@ -400,16 +408,30 @@ def test_factored_memory_checked_before_allocating(tmp_path, capsys, monkeypatch
     def no_rounds(*args, **kwargs):
         raise AssertionError("a round ran")
     monkeypatch.setattr(pairbath.dynamics_factored, "extend", no_rounds)
-    # default measurements: 100, about 4^100 Gram entries per spin
-    doc = {"geometry": {"kind": "explicit",
-                        "g_vectors": [[0.5, 0.1, -0.3], [0.2, 0.0, 0.4]]},
-           "protocol": {"omega": 1.0, "tau": 0.3},
+    doc = {"geometry": HUGE_BATH, "protocol": {"omega": 1.0, "tau": 0.3},
            "engine": {"name": "factored"}}
     p = _write_yaml(tmp_path / "c.yaml", doc)
     assert main(["run", "--config", p, "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
-    assert "GiB" in err and "fewer measurements or the dense engine" in err
+    assert "GiB" in err and "fewer spins or samples" in err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_montecarlo_reaches_paper_rounds_beyond_dense_limit(tmp_path):
+    # N = 16 at the paper's M = 100: one 2^16 x 16 block, about 16 MiB
+    doc = {"seed": 0,
+           "geometry": {"kind": "dimer_chain", "n_pairs": 8, "pair_spacing": 8.0,
+                        "dimer_gap": 1.0, "z0": 100.0, "x0": 60.0},
+           "protocol": {"measurements": 100},
+           "engine": {"name": "montecarlo", "samples": 16}}
+    p = _write_yaml(tmp_path / "c.yaml", doc)
+    assert main(["run", "--config", p, "--out", str(tmp_path)]) == 0
+    pairs = _read_pairs(tmp_path / "pairs.csv")
+    assert sorted(map(tuple, pairs[:, :2].astype(int).tolist())) == [
+        (2 * k, 2 * k + 1) for k in range(8)]
+    man = yaml.safe_load((tmp_path / "manifest.yaml").read_text())
+    assert man["resolved"]["steps_completed"] == 100
+    assert man["resolved"]["all_paired"] is True
 
 
 BIG_BATH = {"kind": "explicit",

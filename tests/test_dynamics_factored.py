@@ -1,18 +1,22 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from pairbath.spin_core import CouplingSet, branch_propagators
 from pairbath.dynamics_dense import (
     ProtocolConfig,
-    build_V,
+    all_pair_rdms,
     maximally_mixed,
     pair_rdm,
     purity,
     run_protocol,
 )
 from pairbath.dynamics_factored import (
+    _apply,
+    _haar_product,
+    _zbasis_product,
     extend,
-    from_product_state,
     mixed_state_monte_carlo,
     reduced_density_matrix,
     run_factored,
@@ -32,28 +36,47 @@ def _dense_vector(states):
     return psi
 
 
-def test_from_product_state_shape_and_validation():
-    ens = from_product_state([[1, 0], [0, 1], [1, 1]])
-    assert ens.n_branches == 1
-    assert ens.n_spins == 3
-    assert np.abs(ens.grams - 1.0).max() < 1e-14  # normalized inputs
+def test_run_factored_input_checks():
+    c = CouplingSet(np.array([[0.3, -0.2, 0.9]]), 1.1)
+    cfg = ProtocolConfig(omega=1.1, tau=0.4, measurements=2)
     with pytest.raises(ValueError, match=r"\(N, 2\)"):
-        from_product_state([[1, 0, 0]])
+        run_factored([[1, 0, 0]], cfg, c)
     with pytest.raises(ValueError, match="zero-norm"):
-        from_product_state([[0, 0]])
+        run_factored([[0, 0]], cfg, c)
+    # unnormalized rows are normalized: the same run as the unit vector
+    _, scaled = run_factored([[3.0, 4.0j]], cfg, c)
+    _, unit = run_factored([[0.6, 0.8j]], cfg, c)
+    assert np.abs(scaled - unit).max() < 1e-15
 
 
 def test_extend_single_round_weights():
     c = CouplingSet(np.array([[0.3, -0.2, 0.9]]), 1.1)
     up, um = branch_propagators(c.g_vectors, c.omega, 0.4)
-    ens = from_product_state([[1, 0]])
-    ens = extend(ens, up, um, 2**-0.5, 2**-0.5)
-    assert ens.n_branches == 2
-    assert np.allclose(ens.weights, [0.5, 0.5])
-    assert np.abs(ens.vectors[0, 0] - up[0][:, 0]).max() < 1e-14
-    assert np.abs(ens.vectors[1, 0] - um[0][:, 0]).max() < 1e-14
+    start = np.array([[1.0], [0.0]], dtype=complex)
+    state = extend(start, up, um, 2**-0.5, 2**-0.5)
+    assert state.shape == (2, 1)
+    want = 0.5 * up[0][:, 0] + 0.5 * um[0][:, 0]
+    assert np.abs(state[:, 0] - want).max() < 1e-15
+    assert abs(success_probability(state) - np.vdot(want, want).real) < 1e-15
     with pytest.raises(ValueError, match="for 1 spins"):
-        extend(ens, up[[0, 0]], um[[0, 0]], 2**-0.5, 2**-0.5)
+        extend(start, up[[0, 0]], um[[0, 0]], 2**-0.5, 2**-0.5)
+
+
+def test_fused_application_matches_dense():
+    # N = 7: groups of 3 end at 3 and 6, groups of FUSE = 5 at 5
+    rng = np.random.default_rng(38)
+    n = 7
+    block = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+    u = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    dense = reduce(np.kron, u)
+    for fuse in (1, 3, 5, 7):
+        got = _apply(u, block, fuse)
+        assert np.abs(got - dense @ block).max() < 1e-12 * np.abs(dense @ block).max()
+    c = CouplingSet(rng.normal(0, 1.0, (n, 3)), 0.7)
+    up, um = branch_propagators(c.g_vectors, c.omega, 0.45)
+    alpha, beta = 0.6, 0.8j
+    v = 0.36 * reduce(np.kron, up) + 0.64 * reduce(np.kron, um)
+    assert np.abs(extend(block, up, um, alpha, beta) - v @ block).max() < 1e-12
 
 
 def test_longitudinal_norm_closed_form():
@@ -87,46 +110,75 @@ def test_factored_matches_dense():
             assert np.abs(got - want).max() < 1e-12
 
 
-def test_gram_cache_matches_scratch():
-    rng = np.random.default_rng(32)
-    n = 4
-    c = CouplingSet(rng.normal(0, 1.0, (n, 3)), 2.0)
-    up, um = branch_propagators(c.g_vectors, c.omega, 0.55)
-    ens = from_product_state(_rand_product(rng, n))
-    for _ in range(5):
-        ens = extend(ens, up, um, 0.6, 0.8)
-    # recompute every per-spin Gram from the branch vectors directly
-    for k in range(n):
-        vk = ens.vectors[:, k, :]
-        scratch = vk.conj() @ vk.T
-        assert np.abs(ens.grams[k] - scratch).max() < 1e-12
-
-
-def test_success_probability_large_ensemble_blocked():
-    # push past the reduction block size (256) and check against the plain
-    # full bilinear form
-    rng = np.random.default_rng(33)
-    c = CouplingSet(rng.normal(0, 0.8, (2, 3)), 1.0)
-    cfg = ProtocolConfig(omega=1.0, tau=0.42, measurements=9)  # 512 branches
-    ens, probs = run_factored(_rand_product(rng, 2), cfg, c)
-    assert ens.n_branches == 512
-    prod = np.ones((512, 512), dtype=complex)
-    for k in range(2):
-        prod *= ens.grams[k]
-    plain = np.real(ens.weights.conj() @ prod @ ens.weights)
-    assert abs(probs[-1] - plain) < 1e-12
-    assert probs[-1] >= 0
-
-
 def test_rdm_before_any_round_is_product():
     rng = np.random.default_rng(34)
     states = _rand_product(rng, 3)
-    ens = from_product_state(states)
-    got = reduced_density_matrix(ens, 0, 2)
-    psi = np.kron(states[0], states[2])
-    assert np.abs(got - np.outer(psi, psi.conj())).max() < 1e-13
+    state = _dense_vector(states)[:, None]
+    for i, j in ((0, 2), (2, 0)):
+        got = reduced_density_matrix(state, i, j)
+        psi = np.kron(states[i], states[j])
+        assert np.abs(got - np.outer(psi, psi.conj())).max() < 1e-13
     with pytest.raises(ValueError, match="distinct"):
-        reduced_density_matrix(ens, 1, 1)
+        reduced_density_matrix(state, 1, 1)
+    with pytest.raises(ValueError, match="zero norm"):
+        reduced_density_matrix(np.zeros_like(state), 0, 1)
+
+
+def test_cumulative_probability_exact_when_small():
+    # one transverse spin with cos^2(tau) = 0.05: V = cos(tau) 1, so every
+    # conditional p is 0.05 and P_11 = 0.05^11, below the extinction floor
+    c = CouplingSet(np.array([[1.0, 0.0, 0.0]]), 0.0)
+    cfg = ProtocolConfig(omega=0.0, tau=1.3452829208967654, measurements=11)
+    _, cum = run_factored([[1, 0]], cfg, c)
+    assert len(cum) == 11
+    assert abs(cum[-1] / 0.05**11 - 1.0) < 1e-12
+    cond = cum / np.concatenate([[1.0], cum[:-1]])
+    assert np.abs(cond - 0.05).max() < 1e-12
+
+
+def test_extinct_first_round_returns_start_block():
+    # three transverse spins at tau = pi/2: V = 0 up to rounding, so both
+    # engines keep no round and return the start state, not rounding noise
+    c = CouplingSet(np.array([[1.0, 0.0, 0.0]] * 3), 0.0)
+    cfg = ProtocolConfig(omega=0.0, tau=float(np.pi / 2), measurements=3)
+    states = _rand_product(np.random.default_rng(39), 3)
+    state, cum = run_factored(states, cfg, c)
+    assert cum.shape == (0,)
+    assert np.array_equal(state[:, 0], _dense_vector(states))
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    res = mixed_state_monte_carlo(c, cfg, samples=5, seed=4, pair_list=pairs)
+    assert res.success_probability.shape == (0,)
+    rho0 = _empirical_start(3, 5, seed=4, basis="haar")
+    for p in pairs:
+        assert np.abs(res.pair_rdms[p] - pair_rdm(rho0, 3, *p)).max() < 1e-12
+
+
+def _empirical_start(n, samples, seed, basis):
+    """(1/R) sum_s |psi_s><psi_s| of the draws mixed_state_monte_carlo makes."""
+    draw = _haar_product if basis == "haar" else _zbasis_product
+    rho = 0
+    for stream in np.random.SeedSequence(seed).spawn(samples):
+        psi = _dense_vector(draw(np.random.default_rng(stream), n))
+        rho = rho + np.outer(psi, psi.conj())
+    return rho / samples
+
+
+@pytest.mark.parametrize("basis", ["haar", "z"])
+def test_monte_carlo_equals_dense_from_its_own_draws(basis):
+    rng = np.random.default_rng(40)
+    n, samples = 5, 7
+    c = CouplingSet(rng.normal(0, 1.0, (n, 3)), 1.2)
+    cfg = ProtocolConfig(omega=1.2, tau=0.5, measurements=6)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    res = mixed_state_monte_carlo(c, cfg, samples=samples, seed=13,
+                                  pair_list=pairs, basis=basis)
+    traj = run_protocol(_empirical_start(n, samples, 13, basis), cfg, c)
+    assert traj.steps == 6
+    rel = np.abs(res.success_probability / traj.cumulative_p - 1.0)
+    assert rel.max() < 1e-12
+    want = all_pair_rdms(traj.final_rho, n)
+    for p in pairs:
+        assert np.abs(res.pair_rdms[p] - want[p]).max() < 1e-12
 
 
 def test_monte_carlo_error_shrinks_as_sqrt_samples():
