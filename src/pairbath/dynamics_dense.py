@@ -19,9 +19,19 @@ the two bare branches:
     rho' propto e V rho V^dag
          + (1-e)/2 (|alpha|^2 U+ rho U+^dag + |beta|^2 U- rho U-^dag)
 
-with e = exp(-gamma_d * readout_time). run_protocol uses this reduced form.
+with e = exp(-gamma_d * readout_time). run_protocol uses this reduced form
+on dense U+- and V.
 
-Without dephasing the final state needs only W = V^M:
+Without dephasing run_protocol never forms U+- or V. V is the sum of two
+Kronecker products, each of a few fused factors (dynamics_factored), so
+V rho V^dag is two applications of the factors from the left and two
+from the right. Purification lowers rho's rank: once rho is within a
+trace-norm distance of about 1e-15 of its best rank-r part with
+r <= d/4, the run continues on the (d, r) block W with W W^dag that part,
+as the block engine does, under a certificate on the reported state's
+error (_block_rounds).
+
+Without dephasing the final state also needs only W = V^M:
 rho_M = W rho0 W^dag / P_M with P_M = Tr[W rho0 W^dag], the cumulative
 probability. final_state_by_squaring builds W by repeated squaring, in
 O(log M) products instead of M sandwiches.
@@ -35,6 +45,7 @@ from functools import reduce
 
 import numpy as np
 
+from .dynamics_factored import apply_left, apply_right, balanced_bounds, extend
 from .errors import ConfigError, ExtinctionError, require_memory
 from .spin_core import CouplingSet, branch_propagators
 
@@ -45,9 +56,19 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # d x d complex matrices the dense engine holds at its peak, rounded up:
 # U+, U-, V, rho0 and rho, and the four temporaries of a dephased round
 # (its two buffers plus one sandwich's product and conjugate). Peaks read
-# with tracemalloc at N=8: 9.01 for a dephased run_protocol, 8.13 without
-# dephasing, 7.13 for a scan point through final_state_by_squaring.
+# with tracemalloc at N=8: 9.01 for a dephased run_protocol, 7.13 for a
+# scan point through final_state_by_squaring, and 6.03 without dephasing
+# (rho0, rho and four temporaries of a matrix-free round; rho0 and rho_k
+# while the block rounds run).
 DENSE_MATRICES = 10
+
+# rank hand-off: the discarded eigenvalue mass allowed, relative to Tr rho;
+# the purity from which rho's rank is checked (the N=10 dimer chain passes
+# 0.9 at round 39 and first fits d/4 at round 53); and the largest
+# certified trace-norm error of a reported state
+HANDOFF_TOL = 1e-15
+HANDOFF_PURITY = 0.9
+CERTIFICATE_LIMIT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -243,40 +264,193 @@ def _dephased_round(rho, up, um, V, wa, wb, e) -> np.ndarray:
     return out
 
 
-def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Trajectory:
-    """Evolve rho0 through up to cfg.measurements successful rounds.
+def _branch_factors(c: CouplingSet, cfg: ProtocolConfig) -> tuple[list, list]:
+    """Fused factors of |alpha|^2 U+ and |beta|^2 U-, as branch_factors
+    gives them. Each run's factor is that run's dense branch operator,
+    built through build_branch_operators like every dense U+- (perfbench's
+    --trace 1 reads its calls as dense.build_s)."""
+    bounds = balanced_bounds(c.n_spins)
+    plus, minus = (list(f) for f in zip(*(
+        build_branch_operators(CouplingSet(c.g_vectors[lo:hi], c.omega), cfg.tau)
+        for lo, hi in zip(bounds, bounds[1:]))))
+    plus[0] = abs(cfg.alpha) ** 2 * plus[0]
+    minus[0] = abs(cfg.beta) ** 2 * minus[0]
+    return plus, minus
 
-    With dephasing off the final state is V^M rho0 V^dag^M normalized and
-    the cumulative probability is Tr[V^M rho0 V^dag^M]. With dephasing on,
-    each round applies the reduced evolve/dephase/project map derived in
-    the module docstring. A round whose p is below cfg.extinction_floor
-    ends the trajectory before it, with status "extinct".
+
+def _two_sided_round(rho: np.ndarray, plus: list, minus: list) -> np.ndarray:
+    """V rho V^dag, unnormalized, as two left and two right applications of
+    the fused factors of V = (kron plus) + (kron minus)."""
+    x = apply_left(plus, rho)
+    x += apply_left(minus, rho)
+    out = apply_right(x, plus)
+    out += apply_right(x, minus)
+    return out
+
+
+def _truncation(lam: np.ndarray, tol: float) -> tuple[int, float, float]:
+    """(r, discarded mass, largest discarded |lambda|) for the ascending
+    eigenvalues lam of a density matrix: the smallest r whose discarded
+    positive eigenvalues sum to at most tol, or to at most the sum of
+    |lambda| over the negative ones if that is larger.
+
+    Negative eigenvalues are rounding noise of a positive matrix, and the
+    positive ones carry noise of the same size: about 2e-15 in sum at
+    N=6 and N=10, and 1e-14 for a pure state at N=10, so a fixed tol of
+    1e-15 would keep noise directions. The returned mass, sum |lambda|
+    over everything discarded, is the trace-norm distance from rho to its
+    kept rank-r part (Eckart-Young, Mirsky).
     """
+    noise = -float(lam[lam < 0].sum())
+    mass = np.cumsum(np.maximum(lam, 0.0))
+    cut = int(np.searchsorted(mass, max(tol, noise), side="right"))
+    dropped = np.abs(lam[:cut])
+    return len(lam) - cut, float(dropped.sum()), float(dropped.max(initial=0.0))
+
+
+def _handoff_block(rho: np.ndarray) -> tuple[np.ndarray, float, float] | None:
+    """(W, discarded mass, largest discarded |lambda|) with W W^dag the
+    best rank-r part of rho, or None when r > d/4. The eigenvalues alone
+    decide first, so a failed check costs no eigenvectors."""
+    d = len(rho)
+    tol = HANDOFF_TOL * float(np.trace(rho).real)
+    if _truncation(np.linalg.eigvalsh(rho), tol)[0] > d // 4:
+        return None
+    lam, q = np.linalg.eigh(rho)
+    r, lost, lam_next = _truncation(lam, tol)
+    if r > d // 4:
+        return None
+    return q[:, d - r:] * np.sqrt(lam[d - r:]), lost, lam_next
+
+
+def _block_rounds(w: np.ndarray, lost: float, lam_next: float, rho0: np.ndarray,
+                  plus: list, minus: list, cond: list, purs: list,
+                  cfg: ProtocolConfig) -> tuple[np.ndarray, int | None] | None:
+    """Rounds after the hand-off on the block W, appended to cond and purs.
+
+    Returns (final block, normalized, extinct step or None), or None as
+    soon as the certificate beta_m exceeds CERTIFICATE_LIMIT. With
+    E = rho_k - W W^dag and j = m - k rounds since the hand-off at k,
+    ||V^j E V^j^dag||_1 is at most ||E||_1 = lost (||V||_2 <= 1) and at
+    most lam_next ||V^j||_F^2 <= lam_next P_j / lambda_min(rho0), P_j
+    being the run's own cumulative p. Divided by the trace P_m / P_k of
+    the continued state, the normalized rho_m is off by at most
+
+        beta_m = 2 min(lost, lam_next P_j / lambda_min(rho0)) / (P_m / P_k)
+
+    in trace norm. lambda_min(rho0) is computed only when 2 lost alone is
+    not enough; a pure start has none and keeps that bound.
+    """
+    k = len(cond)
+    w /= math.sqrt(float(np.vdot(w, w).real))
+    ratio, lam_min0 = 1.0, None       # P_m / P_k; lambda_min(rho0), when needed
+    for step in range(k + 1, cfg.measurements + 1):
+        nxt = extend(w, plus, minus)
+        p = float(np.vdot(nxt, nxt).real)
+        if p < cfg.extinction_floor:
+            return w, step
+        ratio *= p
+        bound = 2.0 * lost / ratio
+        if bound > CERTIFICATE_LIMIT:
+            if lam_min0 is None:
+                lam_min0 = float(np.linalg.eigvalsh(rho0)[0])
+            if lam_min0 > 0:
+                spread = lam_next * math.prod(cond[:step - k]) / lam_min0
+                bound = 2.0 * min(lost, spread) / ratio
+        if bound > CERTIFICATE_LIMIT:
+            return None
+        nxt /= math.sqrt(p)
+        w = nxt
+        gram = w.conj().T @ w
+        cond.append(p)
+        purs.append(float(np.vdot(gram, gram).real))
+    return w, None
+
+
+def _conditional_rounds(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet
+                        ) -> tuple[list, list, np.ndarray, int | None]:
+    """Rounds without dephasing: (conditional p, purity, final rho, extinct
+    step or None). rho rounds run matrix free on the fused factors; once
+    rho's rank has fallen to d/4 or less, the run continues on a block of
+    state vectors, back to rho rounds from the hand-off state if the
+    block's certificate ever fails.
+
+    Ranks are checked from the first round whose purity reaches
+    HANDOFF_PURITY, then after 2, 4, 8, ... more rounds, so a run of M
+    rounds takes at most log2(M + 1) eigenvalue checks, whatever the
+    timing, and decomposes rho only after a check that passes.
+    """
+    require_dense_memory(c.n_spins)
+    plus, minus = _branch_factors(c, cfg)
+    rho = np.array(rho0, dtype=complex)
+    cond, purs = [], []
+    check, gap = None, 2               # step of the next check, rounds to the one after
+    for step in range(1, cfg.measurements + 1):
+        try:
+            rho, p = _renormalize(_two_sided_round(rho, plus, minus),
+                                  cfg.extinction_floor)
+        except ExtinctionError:
+            return cond, purs, rho, step
+        cond.append(p)
+        purs.append(purity(rho))
+        if check is None and purs[-1] >= HANDOFF_PURITY:
+            check = step
+        if step != check or step == cfg.measurements:
+            continue
+        check, gap = step + gap, 2 * gap
+        handoff = _handoff_block(rho)
+        if handoff is None:
+            continue
+        done = _block_rounds(*handoff, rho0, plus, minus, cond, purs, cfg)
+        if done is not None:
+            w, extinct_step = done
+            del rho                    # rho_k, kept for a failed certificate
+            return cond, purs, _renormalize(w @ w.conj().T, 0.0)[0], extinct_step
+        del cond[step:], purs[step:]   # resume from rho_k, never hand off again
+        check = math.inf
+    return cond, purs, rho, None
+
+
+def _dephased_rounds(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet,
+                     e: float) -> tuple[list, list, np.ndarray, int | None]:
+    """Rounds of the reduced dephased map on dense U+-, V; returned as by
+    _conditional_rounds."""
     up, um = build_branch_operators(c, cfg.tau)
     wa, wb = abs(cfg.alpha) ** 2, abs(cfg.beta) ** 2
     V = wa * up + wb * um
-    e = np.exp(-cfg.dephasing_rate * cfg.effective_readout_time)
-
     rho = np.array(rho0, dtype=complex)
     cond, purs = [], []
-    status, extinct_step = "completed", None
     for step in range(1, cfg.measurements + 1):
         try:
-            if e < 1.0:
-                rho, p = _renormalize(_dephased_round(rho, up, um, V, wa, wb, e),
-                                      cfg.extinction_floor)
-            else:
-                rho, p = apply_projection(rho, V, cfg.extinction_floor)
+            rho, p = _renormalize(_dephased_round(rho, up, um, V, wa, wb, e),
+                                  cfg.extinction_floor)
         except ExtinctionError:
-            status, extinct_step = "extinct", step
-            break
+            return cond, purs, rho, step
         cond.append(p)
         purs.append(purity(rho))
+    return cond, purs, rho, None
+
+
+def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Trajectory:
+    """Evolve rho0 through up to cfg.measurements successful rounds.
+
+    With dephasing off each round is rho <- V rho V^dag / p, applied matrix
+    free and, once rho's rank is low, on a block of state vectors with a
+    certified error (_conditional_rounds). With dephasing on, each round
+    applies the reduced evolve/dephase/project map derived in the module
+    docstring. A round whose p is below cfg.extinction_floor ends the
+    trajectory before it, with status "extinct".
+    """
+    e = np.exp(-cfg.dephasing_rate * cfg.effective_readout_time)
+    if e < 1.0:
+        cond, purs, rho, extinct_step = _dephased_rounds(rho0, cfg, c, e)
+    else:
+        cond, purs, rho, extinct_step = _conditional_rounds(rho0, cfg, c)
     return Trajectory(
         conditional_p=np.array(cond),
         cumulative_p=np.cumprod(cond),
         purity=np.array(purs),
         final_rho=rho,
-        status=status,
+        status="completed" if extinct_step is None else "extinct",
         extinct_step=extinct_step,
     )

@@ -3,10 +3,13 @@
 A block holds r pure states of N spins as the columns of a (2^N, r)
 complex array, spin 0 the most significant bit of the row index as in the
 dense engine. One round maps every column psi to |alpha|^2 U+ psi +
-|beta|^2 U- psi without forming U+- or V: each run of up to FUSE
-consecutive spins is fused into one Kronecker factor, applied as one
-matmul on a reshaped view (Hams & De Raedt, PRE 62, 4365 (2000)). The
-block is never renormalized, so its mean squared column norm after m
+|beta|^2 U- psi without forming U+- or V: the spins are cut into the
+fewest runs of at most FUSE consecutive spins, of balanced sizes, and
+each run is fused into one Kronecker factor, applied as one matmul on a
+reshaped view (Hams & De Raedt, PRE 62, 4365 (2000)); the weights ride
+on the first factor. The dense engine's matrix-free rho rounds use the
+same kernel, from the left (apply_left) and from the right (apply_right).
+The block is never renormalized, so its mean squared column norm after m
 rounds is the cumulative success probability P_m, free of cancellation,
 and a round's conditional p is the ratio of two consecutive ones. Memory
 is BLOCKS block-sized arrays at any number of rounds, checked before the
@@ -15,16 +18,20 @@ block is allocated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics_dense import ProtocolConfig
 from .errors import ConfigError, require_memory
 from .spin_core import CouplingSet, branch_propagators
 
-# spins per Kronecker factor, so a factor is at most 32 x 32
+if TYPE_CHECKING:
+    from .dynamics_dense import ProtocolConfig
+
+# spins per Kronecker factor at most, so a factor is at most 32 x 32
 FUSE = 5
 
 # block-sized complex arrays alive at the engine's peak: the block, the
@@ -34,28 +41,63 @@ FUSE = 5
 BLOCKS = 4
 
 
-def _apply(u: np.ndarray, state: np.ndarray, fuse: int = FUSE) -> np.ndarray:
-    """(kron of the (N, 2, 2) stack u) @ state, one matmul per fused factor."""
-    one = np.eye(1, dtype=complex)
-    for lo in range(0, len(u), fuse):
-        factor = reduce(np.kron, u[lo:lo + fuse], one)
-        view = state.reshape(2**lo, len(factor), -1)
-        state = np.matmul(factor, view).reshape(state.shape)
+def balanced_bounds(n: int, fuse: int = FUSE) -> list[int]:
+    """Spin boundaries of the fewest runs of at most fuse consecutive spins,
+    their sizes differing by at most one: N=16 gives 4+4+4+4, not 5+5+5+1,
+    whose lone trailing spin would be the costliest factor."""
+    count = -(-n // fuse)
+    return [k * n // count for k in range(count + 1)]
+
+
+def fused_factors(u: np.ndarray, bounds: list[int], weight: complex = 1.0) -> list:
+    """Kronecker factors of the (N, 2, 2) stack u, one per run of spins
+    between consecutive bounds, with weight folded into the first."""
+    factors = [reduce(np.kron, u[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    factors[0] = weight * factors[0]
+    return factors
+
+
+def branch_factors(up: np.ndarray, um: np.ndarray, alpha: complex,
+                   beta: complex) -> tuple[list, list]:
+    """Fused factors of |alpha|^2 U+ and |beta|^2 U- over balanced runs of
+    spins; up and um are the spins' (N, 2, 2) propagators."""
+    bounds = balanced_bounds(len(up))
+    return (fused_factors(up, bounds, abs(alpha) ** 2),
+            fused_factors(um, bounds, abs(beta) ** 2))
+
+
+def apply_left(factors: list, state: np.ndarray) -> np.ndarray:
+    """(kron of factors) @ state, one matmul per factor on a reshaped view."""
+    lead = 1
+    for f in factors:
+        view = state.reshape(lead, len(f), -1)
+        state = np.matmul(f, view).reshape(state.shape)
+        lead *= len(f)
     return state
 
 
-def extend(state: np.ndarray, up: np.ndarray, um: np.ndarray,
-           alpha: complex, beta: complex) -> np.ndarray:
-    """One round on the block; up and um are the spins' (N, 2, 2) propagators."""
-    n = state.shape[0].bit_length() - 1
-    if up.shape != (n, 2, 2) or um.shape != (n, 2, 2):
-        raise ValueError(f"propagators of shape {up.shape} and {um.shape} "
-                         f"for {n} spins")
-    out = _apply(up, state)
-    out *= abs(alpha) ** 2
-    part = _apply(um, state)
-    part *= abs(beta) ** 2
-    out += part
+def apply_right(state: np.ndarray, factors: list) -> np.ndarray:
+    """state @ (kron of factors)^dag. The row index joins matmul's batch
+    axis with the column bits before each factor; the trailing factor
+    is one 2-D gemm."""
+    lead = state.shape[0]
+    for f in factors[:-1]:
+        view = state.reshape(lead, len(f), -1)
+        state = np.matmul(f.conj(), view).reshape(state.shape)
+        lead *= len(f)
+    last = factors[-1]
+    return (state.reshape(-1, len(last)) @ last.conj().T).reshape(state.shape)
+
+
+def extend(state: np.ndarray, plus: list, minus: list) -> np.ndarray:
+    """One round on the block: V state with V = (kron plus) + (kron minus),
+    the fused factors of |alpha|^2 U+ and |beta|^2 U- (branch_factors)."""
+    dim = math.prod(len(f) for f in plus)
+    if dim != state.shape[0] or math.prod(len(f) for f in minus) != dim:
+        raise ValueError(f"factors of dimension {dim} for a block of "
+                         f"{state.shape[0]} rows")
+    out = apply_left(plus, state)
+    out += apply_left(minus, state)
     return out
 
 
@@ -100,12 +142,13 @@ def _propagate(states: np.ndarray, cfg: ProtocolConfig,
     require_memory(BLOCKS * r * 16 * 2**n,
                    f"{BLOCKS} blocks of 2^{n} x {r} complex amplitudes",
                    "use fewer spins or samples")
-    up, um = branch_propagators(c.g_vectors, c.omega, cfg.tau)
+    plus, minus = branch_factors(*branch_propagators(c.g_vectors, c.omega, cfg.tau),
+                                 cfg.alpha, cfg.beta)
     state = reduce(lambda b, s: (b[:, None, :] * s).reshape(-1, r), states,
                    np.ones((1, r), dtype=complex))
     cum, prev = [], 1.0
     for _ in range(cfg.measurements):
-        nxt = extend(state, up, um, cfg.alpha, cfg.beta)
+        nxt = extend(state, plus, minus)
         p = success_probability(nxt)
         if not p / prev >= cfg.extinction_floor:
             break

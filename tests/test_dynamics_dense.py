@@ -1,11 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from pairbath.errors import ConfigError, ExtinctionError
-from pairbath.spin_core import SIGMA_X, SIGMA_Y, SIGMA_Z, CouplingSet
+from pairbath.spin_core import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    CouplingSet,
+    chain_geometry,
+    dimer_chain_geometry,
+    dipolar_couplings,
+    optimal_params,
+)
 from pairbath.dynamics_dense import (
     DENSE_MATRICES,
+    HANDOFF_TOL,
     ProtocolConfig,
     all_pair_rdms,
     apply_projection,
@@ -255,6 +267,159 @@ def test_dephased_run_within_dense_memory_estimate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= DENSE_MATRICES * 16 * 4**n
+
+
+def _chain_bath(n: int, dimers: bool):
+    """Criterion 7's chain, or the dimer chain of criteria 3 and 4, at the
+    heuristic omega and tau."""
+    geom = (dimer_chain_geometry(n // 2, 8.0, 1.0, 100.0, 60.0) if dimers
+            else chain_geometry(n, 8.0, 100.0, 60.0))
+    c0 = dipolar_couplings(geom)
+    omega, tau = optimal_params(c0)
+    return CouplingSet(c0.g_vectors, omega), tau
+
+
+def _gemm_stepping(rho0, cfg, c):
+    """Conditional rounds as two dense gemms each, through apply_projection:
+    (conditional p, purity, final rho) up to the first extinct round."""
+    v = build_V(c, cfg.tau, cfg.alpha, cfg.beta)
+    rho, cond, purs = np.array(rho0, dtype=complex), [], []
+    for _ in range(cfg.measurements):
+        try:
+            rho, p = apply_projection(rho, v, cfg.extinction_floor)
+        except ExtinctionError:
+            break
+        cond.append(p)
+        purs.append(purity(rho))
+    return np.array(cond), np.array(purs), rho
+
+
+def _assert_matches_gemm(traj, rho0, cfg, c):
+    cond, purs, rho = _gemm_stepping(rho0, cfg, c)
+    assert traj.steps == len(cond)
+    assert np.abs(traj.conditional_p - cond).max() < 1e-12
+    # relative: cumulative p reaches 1e-47 on the N=6 chain
+    assert np.abs(traj.cumulative_p / np.cumprod(cond) - 1.0).max() < 1e-12
+    assert np.abs(traj.purity - purs).max() < 1e-12
+    n = c.n_spins
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = pair_rdm(traj.final_rho, n, i, j) - pair_rdm(rho, n, i, j)
+            assert np.abs(diff).max() < 1e-12
+
+
+@pytest.fixture
+def block_rounds(monkeypatch):
+    """Column counts of the blocks run_protocol's block rounds ran on."""
+    import pairbath.dynamics_dense
+    real, ranks = pairbath.dynamics_dense.extend, []
+
+    def counted(state, *args):
+        ranks.append(state.shape[1])
+        return real(state, *args)
+    monkeypatch.setattr(pairbath.dynamics_dense, "extend", counted)
+    return ranks
+
+
+def test_handoff_run_matches_gemm_stepping(block_rounds):
+    c, tau = _chain_bath(8, dimers=True)
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=100)
+    traj = run_protocol(maximally_mixed(8), cfg, c)
+    assert traj.status == "completed"
+    # handed off to a block of at most d/4 columns
+    assert 0 < len(block_rounds) < 100 and max(block_rounds) <= 2**8 // 4
+    _assert_matches_gemm(traj, maximally_mixed(8), cfg, c)
+
+
+def test_handoff_certified_where_trace_bound_fails(block_rounds):
+    # criterion 7's chain without dephasing: after the hand-off at step k,
+    # P_M / P_k falls so far that 2 eps / (P_M / P_k) exceeds any useful
+    # limit; the certificate through lambda_min(rho0) keeps the block
+    c, tau = _chain_bath(6, dimers=False)
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=800)
+    traj = run_protocol(maximally_mixed(6), cfg, c)
+    k = cfg.measurements - len(block_rounds)
+    assert 0 < k < cfg.measurements
+    ratio = traj.cumulative_p[-1] / traj.cumulative_p[k - 1]
+    assert 2 * HANDOFF_TOL / ratio > 1.0
+    _assert_matches_gemm(traj, maximally_mixed(6), cfg, c)
+
+
+def _pure_chain_start():
+    c, tau = _chain_bath(6, dimers=True)
+    psi = _random_state(np.random.default_rng(41), 2**6)
+    return c, tau, np.outer(psi, psi.conj())
+
+
+def test_pure_start_hands_off_after_first_round(block_rounds):
+    # lambda_min(rho0) = 0, so the certificate is 2 lost / (P_m / P_1)
+    c, tau, rho0 = _pure_chain_start()
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=20)
+    traj = run_protocol(rho0, cfg, c)
+    assert block_rounds == [1] * 19
+    _assert_matches_gemm(traj, rho0, cfg, c)
+
+
+@pytest.mark.parametrize("case", ["forced", "late"])
+def test_failed_certificate_resumes_rho_rounds(monkeypatch, block_rounds, case):
+    # forced: a limit of 0 refuses the first block round; late: from a pure
+    # start 2 lost / (P_m / P_1) outgrows 1e-12 after some block rounds
+    import pairbath.dynamics_dense
+    if case == "forced":
+        c, tau = _chain_bath(8, dimers=True)
+        rho0, m = maximally_mixed(8), 100
+        monkeypatch.setattr(pairbath.dynamics_dense, "CERTIFICATE_LIMIT", 0.0)
+    else:
+        (c, tau, rho0), m = _pure_chain_start(), 60
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=m)
+    traj = run_protocol(rho0, cfg, c)
+    # the refused round is the last block round; a late refusal drops rows
+    assert len(block_rounds) == 1 if case == "forced" else len(block_rounds) > 1
+    monkeypatch.setattr(pairbath.dynamics_dense, "HANDOFF_PURITY", np.inf)
+    plain = run_protocol(rho0, cfg, c)
+    for name in ("conditional_p", "cumulative_p", "purity", "final_rho"):
+        assert np.array_equal(getattr(traj, name), getattr(plain, name))
+    _assert_matches_gemm(traj, rho0, cfg, c)
+
+
+def test_extinct_block_round_ends_run(monkeypatch):
+    # the third block round leaves nothing: the run is cut before it and
+    # reports the state of a run that stopped there
+    import pairbath.dynamics_dense
+    c, tau, rho0 = _pure_chain_start()
+    real, calls = pairbath.dynamics_dense.extend, []
+
+    def zero_on_third_call(state, *args):
+        calls.append(1)
+        out = real(state, *args)
+        return np.zeros_like(out) if len(calls) == 3 else out
+    monkeypatch.setattr(pairbath.dynamics_dense, "extend", zero_on_third_call)
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=20)
+    cut = run_protocol(rho0, cfg, c)
+    assert (cut.status, cut.extinct_step, cut.steps) == ("extinct", 4, 3)
+    calls.clear()
+    done = run_protocol(rho0, replace(cfg, measurements=3), c)
+    assert done.status == "completed" and len(calls) == 2
+    for name in ("conditional_p", "cumulative_p", "purity", "final_rho"):
+        assert np.array_equal(getattr(cut, name), getattr(done, name))
+
+
+def test_handoff_run_within_dense_memory_estimate(block_rounds):
+    # rho rounds, the decomposition and the block rounds with rho_k held
+    import tracemalloc
+    n = 7
+    rng = np.random.default_rng(27)
+    c = CouplingSet(rng.normal(size=(n, 3)), 1.0)
+    psi = _random_state(rng, 2**n)
+    cfg = ProtocolConfig(omega=1.0, tau=0.3, measurements=3)
+    tracemalloc.start()
+    try:
+        run_protocol(np.outer(psi, psi.conj()), cfg, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(block_rounds) == 2
     assert peak <= DENSE_MATRICES * 16 * 4**n
 
 

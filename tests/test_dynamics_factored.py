@@ -13,10 +13,14 @@ from pairbath.dynamics_dense import (
     run_protocol,
 )
 from pairbath.dynamics_factored import (
-    _apply,
     _haar_product,
     _zbasis_product,
+    apply_left,
+    apply_right,
+    balanced_bounds,
+    branch_factors,
     extend,
+    fused_factors,
     mixed_state_monte_carlo,
     reduced_density_matrix,
     run_factored,
@@ -53,30 +57,48 @@ def test_extend_single_round_weights():
     c = CouplingSet(np.array([[0.3, -0.2, 0.9]]), 1.1)
     up, um = branch_propagators(c.g_vectors, c.omega, 0.4)
     start = np.array([[1.0], [0.0]], dtype=complex)
-    state = extend(start, up, um, 2**-0.5, 2**-0.5)
+    state = extend(start, *branch_factors(up, um, 2**-0.5, 2**-0.5))
     assert state.shape == (2, 1)
     want = 0.5 * up[0][:, 0] + 0.5 * um[0][:, 0]
     assert np.abs(state[:, 0] - want).max() < 1e-15
     assert abs(success_probability(state) - np.vdot(want, want).real) < 1e-15
-    with pytest.raises(ValueError, match="for 1 spins"):
-        extend(start, up[[0, 0]], um[[0, 0]], 2**-0.5, 2**-0.5)
+    with pytest.raises(ValueError, match="dimension 4 for a block of 2 rows"):
+        extend(start, *branch_factors(up[[0, 0]], um[[0, 0]], 2**-0.5, 2**-0.5))
+
+
+def test_balanced_bounds():
+    assert balanced_bounds(16) == [0, 4, 8, 12, 16]
+    assert balanced_bounds(10) == [0, 5, 10]
+    assert balanced_bounds(7) == [0, 3, 7]
+    assert balanced_bounds(7, 1) == list(range(8))
+    for n in range(1, 25):
+        sizes = np.diff(balanced_bounds(n))
+        assert sizes.sum() == n and sizes.max() <= 5
+        assert sizes.max() - sizes.min() <= 1 and len(sizes) == -(-n // 5)
 
 
 def test_fused_application_matches_dense():
-    # N = 7: groups of 3 end at 3 and 6, groups of FUSE = 5 at 5
+    # N = 7 from the left and from the right, with runs of spins cut after
+    # 1, 3, 5 and 7 spins, one spin per factor, one factor, and balanced
     rng = np.random.default_rng(38)
     n = 7
     block = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+    rows = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
     u = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    dense = reduce(np.kron, u)
-    for fuse in (1, 3, 5, 7):
-        got = _apply(u, block, fuse)
-        assert np.abs(got - dense @ block).max() < 1e-12 * np.abs(dense @ block).max()
+    dense = (0.3 - 0.4j) * reduce(np.kron, u)
+    for bounds in ([0, 1, 3, 5, 7], list(range(8)), [0, 7], balanced_bounds(n)):
+        factors = fused_factors(u, bounds, 0.3 - 0.4j)
+        want = dense @ block
+        got = apply_left(factors, block)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+        want = rows @ dense.conj().T
+        got = apply_right(rows, factors)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
     c = CouplingSet(rng.normal(0, 1.0, (n, 3)), 0.7)
     up, um = branch_propagators(c.g_vectors, c.omega, 0.45)
-    alpha, beta = 0.6, 0.8j
     v = 0.36 * reduce(np.kron, up) + 0.64 * reduce(np.kron, um)
-    assert np.abs(extend(block, up, um, alpha, beta) - v @ block).max() < 1e-12
+    got = extend(block, *branch_factors(up, um, 0.6, 0.8j))
+    assert np.abs(got - v @ block).max() < 1e-12
 
 
 def test_longitudinal_norm_closed_form():
