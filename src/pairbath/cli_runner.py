@@ -26,7 +26,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -611,6 +610,8 @@ def cmd_scan(cfg: dict, out_dir: Path, threads: int = 1) -> int:
     # there are tasks and usable cores
     workers = min(threads, len(tasks), len(os.sched_getaffinity(0)))
     if workers > 1:
+        # imported here: the pool's modules cost every other command start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             # map preserves submission order, so assembly is grid-ordered
             # regardless of worker scheduling

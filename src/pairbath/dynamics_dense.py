@@ -19,17 +19,24 @@ the two bare branches:
     rho' propto e V rho V^dag
          + (1-e)/2 (|alpha|^2 U+ rho U+^dag + |beta|^2 U- rho U-^dag)
 
-with e = exp(-gamma_d * readout_time). run_protocol uses this reduced form
-on dense U+- and V.
+with e = exp(-gamma_d * readout_time), a 2 x 2 chi-matrix sum
+sum_ij c_ij U_i rho U_j^dag (Nielsen & Chuang, section 8.4.2).
 
-Without dephasing run_protocol never forms U+- or V. V is the sum of two
-Kronecker products, each of a few fused factors (dynamics_factored), so
-V rho V^dag is two applications of the factors from the left and two
-from the right. Purification lowers rho's rank: once rho is within a
-trace-norm distance of about 1e-15 of its best rank-r part with
-r <= d/4, the run continues on the (d, r) block W with W W^dag that part,
-as the block engine does, under a certificate on the reported state's
-error (_block_rounds).
+run_protocol never forms U+- or V on the full bath. V is the sum of two
+Kronecker products, each of a few fused factors (dynamics_factored) that
+carry the weights: U'+ = |alpha|^2 U+ and U'- = |beta|^2 U-. With A = U'+ rho,
+B = U'- rho and s = (1-e)/2, a round is two applications from the left
+and two from the right,
+
+    rho' = X+ U'+^dag + X- U'-^dag,
+    X+ = e (A + B) + s/|alpha|^2 A,    X- = e (A + B) + s/|beta|^2 B,
+
+which is V rho V^dag at e = 1. Without dephasing purification lowers
+rho's rank: once rho is within a trace-norm distance of about 1e-15 of
+its best rank-r part with r <= d/4, the run continues on the (d, r) block
+W with W W^dag that part, as the block engine does, under a certificate
+on the reported state's error (_block_rounds). The dephased map is not
+V rho V^dag and keeps rho's rank up, so its runs never hand off.
 
 Without dephasing the final state also needs only W = V^M:
 rho_M = W rho0 W^dag / P_M with P_M = Tr[W rho0 W^dag], the cumulative
@@ -53,14 +60,12 @@ EXTINCTION_FLOOR = 1e-14
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# d x d complex matrices the dense engine holds at its peak, rounded up:
-# U+, U-, V, rho0 and rho, and the four temporaries of a dephased round
-# (its two buffers plus one sandwich's product and conjugate). Peaks read
-# with tracemalloc at N=8: 9.01 for a dephased run_protocol, 7.13 for a
-# scan point through final_state_by_squaring, and 6.03 without dephasing
-# (rho0, rho and four temporaries of a matrix-free round; rho0 and rho_k
-# while the block rounds run).
-DENSE_MATRICES = 10
+# d x d complex matrices the dense engine holds at its peak, rounded up.
+# Peaks read with tracemalloc at N=8: 7.00 for a scan point (build_V and
+# final_state_by_squaring), 6.03 for a run_protocol without dephasing
+# (rho0 and rho_k while the block rounds run) and 6.02 with it (rho0,
+# rho, A, B and their sum in a round).
+DENSE_MATRICES = 8
 
 # rank hand-off: the discarded eigenvalue mass allowed, relative to Tr rho;
 # the purity from which rho's rank is checked (the N=10 dimer chain passes
@@ -169,8 +174,10 @@ def _renormalize(out: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
     if p < floor:
         raise ExtinctionError(probability=p)
     out /= p
-    # curb Hermiticity drift from repeated gemms
-    out = 0.5 * (out + out.conj().T)
+    # curb Hermiticity drift from repeated gemms; conj() copies, so the
+    # in-place sum reads no entry it has already written
+    out += out.conj().T
+    out *= 0.5
     return out, p
 
 
@@ -247,23 +254,6 @@ def all_pair_rdms(rho: np.ndarray, n: int) -> dict[tuple[int, int], np.ndarray]:
     return rdms
 
 
-def _dephased_round(rho, up, um, V, wa, wb, e) -> np.ndarray:
-    """e V rho V^dag + (1-e)/2 (wa U+ rho U+^dag + wb U- rho U-^dag),
-    unnormalized, built in place in two buffers in the arithmetic order
-    of the expression, so at most four d x d temporaries live at once."""
-    leak = up @ rho @ up.conj().T
-    leak *= wa
-    part = um @ rho @ um.conj().T
-    part *= wb
-    leak += part
-    del part
-    out = V @ rho @ V.conj().T
-    out *= e
-    leak *= 0.5 * (1.0 - e)
-    out += leak
-    return out
-
-
 def _branch_factors(c: CouplingSet, cfg: ProtocolConfig) -> tuple[list, list]:
     """Fused factors of |alpha|^2 U+ and |beta|^2 U-, as branch_factors
     gives them. Each run's factor is that run's dense branch operator,
@@ -278,13 +268,29 @@ def _branch_factors(c: CouplingSet, cfg: ProtocolConfig) -> tuple[list, list]:
     return plus, minus
 
 
-def _two_sided_round(rho: np.ndarray, plus: list, minus: list) -> np.ndarray:
-    """V rho V^dag, unnormalized, as two left and two right applications of
-    the fused factors of V = (kron plus) + (kron minus)."""
-    x = apply_left(plus, rho)
-    x += apply_left(minus, rho)
-    out = apply_right(x, plus)
-    out += apply_right(x, minus)
+def _round(rho: np.ndarray, plus: list, minus: list, e: float,
+           leak: tuple[float, float]) -> np.ndarray:
+    """One round, unnormalized, as two left and two right applications of
+    the fused factors of U'+ = (kron plus) and U'- = (kron minus):
+    X+ U'+^dag + X- U'-^dag with X+- = e (A + B) + leak+- (A or B), A and B
+    being U'+ rho and U'- rho (module docstring). At e = 1 both X are
+    A + B and the round is V rho V^dag."""
+    a = apply_left(plus, rho)
+    b = apply_left(minus, rho)
+    if e == 1.0:
+        a += b
+        b = a
+    else:
+        x = a + b
+        x *= e
+        a *= leak[0]
+        a += x
+        b *= leak[1]
+        b += x
+        del x
+    out = apply_right(a, plus)
+    del a
+    out += apply_right(b, minus)
     return out
 
 
@@ -328,7 +334,7 @@ def _block_rounds(w: np.ndarray, lost: float, lam_next: float, rho0: np.ndarray,
                   cfg: ProtocolConfig) -> tuple[np.ndarray, int | None] | None:
     """Rounds after the hand-off on the block W, appended to cond and purs.
 
-    Returns (final block, normalized, extinct step or None), or None as
+    Returns (normalized final block, extinct step or None), or None as
     soon as the certificate beta_m exceeds CERTIFICATE_LIMIT. With
     E = rho_k - W W^dag and j = m - k rounds since the hand-off at k,
     ||V^j E V^j^dag||_1 is at most ||E||_1 = lost (||V||_2 <= 1) and at
@@ -367,13 +373,13 @@ def _block_rounds(w: np.ndarray, lost: float, lam_next: float, rho0: np.ndarray,
     return w, None
 
 
-def _conditional_rounds(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet
-                        ) -> tuple[list, list, np.ndarray, int | None]:
-    """Rounds without dephasing: (conditional p, purity, final rho, extinct
-    step or None). rho rounds run matrix free on the fused factors; once
-    rho's rank has fallen to d/4 or less, the run continues on a block of
-    state vectors, back to rho rounds from the hand-off state if the
-    block's certificate ever fails.
+def _conditional_rounds(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet,
+                        e: float) -> tuple[list, list, np.ndarray, int | None]:
+    """(conditional p, purity, final rho, extinct step or None) of the
+    rounds with readout coherence e (_round), run matrix free on the fused
+    factors. Without dephasing (e = 1), once rho's rank has fallen to d/4
+    or less, the run continues on a block of state vectors, back to rho
+    rounds from the hand-off state if the block's certificate ever fails.
 
     Ranks are checked from the first round whose purity reaches
     HANDOFF_PURITY, then after 2, 4, 8, ... more rounds, so a run of M
@@ -382,12 +388,17 @@ def _conditional_rounds(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet
     """
     require_dense_memory(c.n_spins)
     plus, minus = _branch_factors(c, cfg)
+    # s/|alpha|^2 and s/|beta|^2; a branch of weight 0 has zero factors
+    s = 0.5 * (1.0 - e)
+    leak = tuple(s / w if w > 0 else 0.0
+                 for w in (abs(cfg.alpha) ** 2, abs(cfg.beta) ** 2))
     rho = np.array(rho0, dtype=complex)
     cond, purs = [], []
-    check, gap = None, 2               # step of the next check, rounds to the one after
+    # step of the next rank check, rounds to the one after
+    check, gap = (None if e == 1.0 else math.inf), 2
     for step in range(1, cfg.measurements + 1):
         try:
-            rho, p = _renormalize(_two_sided_round(rho, plus, minus),
+            rho, p = _renormalize(_round(rho, plus, minus, e, leak),
                                   cfg.extinction_floor)
         except ExtinctionError:
             return cond, purs, rho, step
@@ -411,41 +422,18 @@ def _conditional_rounds(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet
     return cond, purs, rho, None
 
 
-def _dephased_rounds(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet,
-                     e: float) -> tuple[list, list, np.ndarray, int | None]:
-    """Rounds of the reduced dephased map on dense U+-, V; returned as by
-    _conditional_rounds."""
-    up, um = build_branch_operators(c, cfg.tau)
-    wa, wb = abs(cfg.alpha) ** 2, abs(cfg.beta) ** 2
-    V = wa * up + wb * um
-    rho = np.array(rho0, dtype=complex)
-    cond, purs = [], []
-    for step in range(1, cfg.measurements + 1):
-        try:
-            rho, p = _renormalize(_dephased_round(rho, up, um, V, wa, wb, e),
-                                  cfg.extinction_floor)
-        except ExtinctionError:
-            return cond, purs, rho, step
-        cond.append(p)
-        purs.append(purity(rho))
-    return cond, purs, rho, None
-
-
 def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Trajectory:
     """Evolve rho0 through up to cfg.measurements successful rounds.
 
-    With dephasing off each round is rho <- V rho V^dag / p, applied matrix
-    free and, once rho's rank is low, on a block of state vectors with a
-    certified error (_conditional_rounds). With dephasing on, each round
-    applies the reduced evolve/dephase/project map derived in the module
-    docstring. A round whose p is below cfg.extinction_floor ends the
-    trajectory before it, with status "extinct".
+    Each round applies the reduced evolve/dephase/project map of the module
+    docstring matrix free, and divides by its p (_conditional_rounds).
+    With dephasing off that map is rho <- V rho V^dag / p, and once rho's
+    rank is low the run continues on a block of state vectors with a
+    certified error. A round whose p is below cfg.extinction_floor ends
+    the trajectory before it, with status "extinct".
     """
     e = np.exp(-cfg.dephasing_rate * cfg.effective_readout_time)
-    if e < 1.0:
-        cond, purs, rho, extinct_step = _dephased_rounds(rho0, cfg, c, e)
-    else:
-        cond, purs, rho, extinct_step = _conditional_rounds(rho0, cfg, c)
+    cond, purs, rho, extinct_step = _conditional_rounds(rho0, cfg, c, e)
     return Trajectory(
         conditional_p=np.array(cond),
         cumulative_p=np.cumprod(cond),

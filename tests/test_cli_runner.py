@@ -220,10 +220,10 @@ class _RecordingPool:
 ])
 def test_scan_threads_clamped_to_tasks_and_cores(tmp_path, monkeypatch, threads,
                                                  cores, points, workers):
+    import concurrent.futures
     import os
-    import pairbath.cli_runner
     monkeypatch.setattr(_RecordingPool, "made", [])
-    monkeypatch.setattr(pairbath.cli_runner, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     grid = {"start": 0.5, "stop": 1.5, "points": points}
     raw = {"geometry": {"kind": "explicit",

@@ -21,6 +21,7 @@ from pairbath.dynamics_dense import (
     ProtocolConfig,
     all_pair_rdms,
     apply_projection,
+    build_branch_operators,
     build_V,
     final_state_by_squaring,
     maximally_mixed,
@@ -254,9 +255,77 @@ def test_run_protocol_dephasing_readout_time():
     assert np.abs(traj.final_rho - want).max() < 1e-12
 
 
+def _dephased_round(rho, up, um, V, wa, wb, e):
+    """Reference dephased round on dense U+-, V, unnormalized:
+    e V rho V^dag + (1-e)/2 (wa U+ rho U+^dag + wb U- rho U-^dag)."""
+    leak = up @ rho @ up.conj().T
+    leak *= wa
+    part = um @ rho @ um.conj().T
+    part *= wb
+    leak += part
+    out = V @ rho @ V.conj().T
+    out *= e
+    leak *= 0.5 * (1.0 - e)
+    out += leak
+    return out
+
+
+@pytest.mark.parametrize("e", [1.0, 0.97, 0.74, 0.05])
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.8j), (1.0, 0.0), (0.0, 1.0)])
+def test_run_protocol_rounds_match_dense_dephased_rounds(e, alpha, beta):
+    # N=7 cuts into two fused factors; the reference sums three dense
+    # sandwiches per round
+    n, tau, steps = 7, 0.3, 5
+    rng = np.random.default_rng(28)
+    c = CouplingSet(rng.normal(size=(n, 3)), 1.0)
+    rho0 = _random_mixed(rng, 2**n)
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=steps, alpha=alpha,
+                         beta=beta, dephasing_rate=-np.log(e) / tau)
+    traj = run_protocol(rho0, cfg, c)
+
+    e = np.exp(-cfg.dephasing_rate * cfg.effective_readout_time)
+    up, um = build_branch_operators(c, tau)
+    wa, wb = abs(alpha) ** 2, abs(beta) ** 2
+    v = wa * up + wb * um
+    rho, cond, purs = rho0, [], []
+    for _ in range(steps):
+        out = _dephased_round(rho, up, um, v, wa, wb, e)
+        p = np.trace(out).real
+        rho = out / p
+        rho = 0.5 * (rho + rho.conj().T)
+        cond.append(p)
+        purs.append(purity(rho))
+    assert traj.status == "completed" and traj.steps == steps
+    assert np.abs(traj.conditional_p - cond).max() < 1e-12
+    assert np.abs(traj.purity - purs).max() < 1e-12
+    assert np.abs(traj.final_rho - rho).max() < 1e-12
+
+
+def test_dephased_run_builds_no_full_bath_operators(monkeypatch):
+    # only the fused factors' sub-baths go through build_branch_operators,
+    # and a dephased run never checks rho's rank for a hand-off
+    import pairbath.dynamics_dense as dd
+    c, tau = _chain_bath(8, dimers=True)
+    real = dd.build_branch_operators
+
+    def sub_bath_only(cs, t):
+        if cs.n_spins == c.n_spins:
+            raise AssertionError("dense U+- built on the full bath")
+        return real(cs, t)
+
+    def no_handoff(rho):
+        raise AssertionError("rank checked in a dephased run")
+    monkeypatch.setattr(dd, "build_branch_operators", sub_bath_only)
+    monkeypatch.setattr(dd, "_handoff_block", no_handoff)
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=60,
+                         dephasing_rate=0.01 / tau)
+    traj = run_protocol(maximally_mixed(8), cfg, c)
+    assert traj.status == "completed" and traj.steps == 60
+
+
 def test_dephased_run_within_dense_memory_estimate():
     # the dense memory check assumes DENSE_MATRICES matrices of 4^N entries;
-    # a dephased run holds the most of them at once
+    # a dephased round holds rho0, rho, A, B and their sum
     import tracemalloc
     n = 7
     c = CouplingSet(np.random.default_rng(26).normal(size=(n, 3)), 1.0)
