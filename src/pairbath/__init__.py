@@ -14,6 +14,7 @@ from .spin_core import (
 from .dynamics_dense import (
     ProtocolConfig,
     Trajectory,
+    all_pair_rdms,
     apply_projection,
     build_V,
     maximally_mixed,

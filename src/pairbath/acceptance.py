@@ -119,8 +119,8 @@ def criterion_1() -> tuple[bool, str]:
         want, p_want = _joint_oracle(g, omega, tau, alpha, beta, rho_b)
         worst = max(worst, float(np.abs(got - want / p_want).max()),
                     abs(p - p_want))
-        # the rounds run uses: a matrix-free rho round from the mixed state;
-        # from a pure one a rho round, then a block round after the hand-off
+        # the rounds run uses: one matrix-free rho round from the mixed
+        # state, two from a pure one
         psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         pure = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
         for start, rounds in ((rho_b, 1), (pure, 2)):
@@ -134,8 +134,8 @@ def criterion_1() -> tuple[bool, str]:
                 worst = max(worst, abs(traj.conditional_p[step] - p_want))
             worst = max(worst, float(np.abs(traj.final_rho - want).max()))
     return worst < 1e-10, (f"max deviation {worst:.2e} over 20 random sets, "
-                           "N in 1..4, for V rho V^dag and the rho and block "
-                           "rounds of run")
+                           "N in 1..4, for V rho V^dag and the rho rounds of "
+                           "run")
 
 
 # ---------------------------------------------------------------------------

@@ -577,8 +577,13 @@ def _scan_point(args):
     try:
         rho, cum = final_state_by_squaring(rho0, build_V(c, tau), measurements,
                                            cfg.extinction_floor)
-        pur, status = purity(rho), "completed"
     except ExtinctionError:
+        # step once the handler is left: until then the exception's
+        # traceback keeps the squaring's V and W alive
+        rho = None
+    if rho is not None:
+        pur, status = purity(rho), "completed"
+    else:
         traj = run_protocol(rho0, cfg, c)
         rho, status = traj.final_rho, traj.status
         cum = float(traj.cumulative_p[-1]) if traj.steps else float("nan")

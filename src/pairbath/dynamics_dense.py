@@ -31,12 +31,9 @@ and two from the right,
     rho' = X+ U'+^dag + X- U'-^dag,
     X+ = e (A + B) + s/|alpha|^2 A,    X- = e (A + B) + s/|beta|^2 B,
 
-which is V rho V^dag at e = 1. Without dephasing purification lowers
-rho's rank: once rho is within a trace-norm distance of about 1e-15 of
-its best rank-r part with r <= d/4, the run continues on the (d, r) block
-W with W W^dag that part, as the block engine does, under a certificate
-on the reported state's error (_block_rounds). The dephased map is not
-V rho V^dag and keeps rho's rank up, so its runs never hand off.
+which is V rho V^dag at e = 1. Every round of a run is this one, followed
+by a divide by its trace, whatever rho's rank: an eigendecomposition to
+continue on a low-rank block costs more than the rounds it would save.
 
 Without dephasing the final state also needs only W = V^M:
 rho_M = W rho0 W^dag / P_M with P_M = Tr[W rho0 W^dag], the cumulative
@@ -52,7 +49,7 @@ from functools import reduce
 
 import numpy as np
 
-from .dynamics_factored import apply_left, apply_right, balanced_bounds, extend
+from .dynamics_factored import apply_left, apply_right, balanced_bounds
 from .errors import ConfigError, ExtinctionError, require_memory
 from .spin_core import CouplingSet, branch_propagators
 
@@ -61,19 +58,12 @@ EXTINCTION_FLOOR = 1e-14
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # d x d complex matrices the dense engine holds at its peak, rounded up.
-# Peaks read with tracemalloc at N=8: 7.00 for a scan point (build_V and
-# final_state_by_squaring), 6.03 for a run_protocol without dephasing
-# (rho0 and rho_k while the block rounds run) and 6.02 with it (rho0,
-# rho, A, B and their sum in a round).
-DENSE_MATRICES = 8
-
-# rank hand-off: the discarded eigenvalue mass allowed, relative to Tr rho;
-# the purity from which rho's rank is checked (the N=10 dimer chain passes
-# 0.9 at round 39 and first fits d/4 at round 53); and the largest
-# certified trace-norm error of a reported state
-HANDOFF_TOL = 1e-15
-HANDOFF_PURITY = 0.9
-CERTIFICATE_LIMIT = 1e-12
+# Peaks read with tracemalloc at N=8: 6.03 for a run_protocol with or
+# without dephasing (rho0, rho, A, B and the round's output and right
+# application), 6.00 for a scan point that squares (rho0, V, W, and the
+# final sandwich's W rho0, conj(W) and output) and 6.04 for one that falls
+# back to stepping.
+DENSE_MATRICES = 7
 
 
 @dataclass(frozen=True)
@@ -165,20 +155,31 @@ def build_V(c: CouplingSet, tau: float, alpha: complex = INV_SQRT2,
 def apply_projection(rho: np.ndarray, V: np.ndarray,
                      floor: float = EXTINCTION_FLOOR) -> tuple[np.ndarray, float]:
     """One conditional update: (V rho V^dag / p, p). Raises on extinction."""
-    return _renormalize(V @ rho @ V.conj().T, floor)
+    out, p = _renormalize(V @ rho @ V.conj().T, floor)
+    return _hermitize(out), p
 
 
 def _renormalize(out: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
-    """(out / p, p) with p = Tr out; raises ExtinctionError if p < floor."""
+    """(out / p, p) with p = Tr out; raises ExtinctionError if p < floor.
+
+    The kernel round's two left and two right applications keep rho
+    Hermitian to rounding (|rho - rho^dag| at most 2.3e-17 over the N=10
+    dimer chain's 100 rounds), so the divide is all it needs.
+    """
     p = float(np.real(np.trace(out)))
     if p < floor:
         raise ExtinctionError(probability=p)
     out /= p
-    # curb Hermiticity drift from repeated gemms; conj() copies, so the
-    # in-place sum reads no entry it has already written
+    return out, p
+
+
+def _hermitize(out: np.ndarray) -> np.ndarray:
+    """(out + out^dag) / 2 in place, exactly Hermitian: it curbs the drift
+    of a gemm sandwich. conj() copies, so the in-place sum reads no entry
+    it has already written."""
     out += out.conj().T
     out *= 0.5
-    return out, p
+    return out
 
 
 def final_state_by_squaring(rho0: np.ndarray, V: np.ndarray, measurements: int,
@@ -218,13 +219,14 @@ def final_state_by_squaring(rho0: np.ndarray, V: np.ndarray, measurements: int,
             break
         power, s = rescaled(power @ power)
         log_power = 2.0 * log_power + s
+    del power                          # the sandwich's temporaries take its place
 
     out = w @ rho0 @ w.conj().T
     p = float(np.real(np.trace(out))) * math.exp(2.0 * log_w)
     if not p >= floor:
         raise ExtinctionError(probability=p)
     rho, _ = _renormalize(out, 0.0)    # the floor is on P_M, tested above
-    return rho, p
+    return _hermitize(rho), p
 
 
 def pair_rdm(rho: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
@@ -294,151 +296,38 @@ def _round(rho: np.ndarray, plus: list, minus: list, e: float,
     return out
 
 
-def _truncation(lam: np.ndarray, tol: float) -> tuple[int, float, float]:
-    """(r, discarded mass, largest discarded |lambda|) for the ascending
-    eigenvalues lam of a density matrix: the smallest r whose discarded
-    positive eigenvalues sum to at most tol, or to at most the sum of
-    |lambda| over the negative ones if that is larger.
+def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Trajectory:
+    """Evolve rho0 through up to cfg.measurements successful rounds.
 
-    Negative eigenvalues are rounding noise of a positive matrix, and the
-    positive ones carry noise of the same size: about 2e-15 in sum at
-    N=6 and N=10, and 1e-14 for a pure state at N=10, so a fixed tol of
-    1e-15 would keep noise directions. The returned mass, sum |lambda|
-    over everything discarded, is the trace-norm distance from rho to its
-    kept rank-r part (Eckart-Young, Mirsky).
-    """
-    noise = -float(lam[lam < 0].sum())
-    mass = np.cumsum(np.maximum(lam, 0.0))
-    cut = int(np.searchsorted(mass, max(tol, noise), side="right"))
-    dropped = np.abs(lam[:cut])
-    return len(lam) - cut, float(dropped.sum()), float(dropped.max(initial=0.0))
-
-
-def _handoff_block(rho: np.ndarray) -> tuple[np.ndarray, float, float] | None:
-    """(W, discarded mass, largest discarded |lambda|) with W W^dag the
-    best rank-r part of rho, or None when r > d/4. The eigenvalues alone
-    decide first, so a failed check costs no eigenvectors."""
-    d = len(rho)
-    tol = HANDOFF_TOL * float(np.trace(rho).real)
-    if _truncation(np.linalg.eigvalsh(rho), tol)[0] > d // 4:
-        return None
-    lam, q = np.linalg.eigh(rho)
-    r, lost, lam_next = _truncation(lam, tol)
-    if r > d // 4:
-        return None
-    return q[:, d - r:] * np.sqrt(lam[d - r:]), lost, lam_next
-
-
-def _block_rounds(w: np.ndarray, lost: float, lam_next: float, rho0: np.ndarray,
-                  plus: list, minus: list, cond: list, purs: list,
-                  cfg: ProtocolConfig) -> tuple[np.ndarray, int | None] | None:
-    """Rounds after the hand-off on the block W, appended to cond and purs.
-
-    Returns (normalized final block, extinct step or None), or None as
-    soon as the certificate beta_m exceeds CERTIFICATE_LIMIT. With
-    E = rho_k - W W^dag and j = m - k rounds since the hand-off at k,
-    ||V^j E V^j^dag||_1 is at most ||E||_1 = lost (||V||_2 <= 1) and at
-    most lam_next ||V^j||_F^2 <= lam_next P_j / lambda_min(rho0), P_j
-    being the run's own cumulative p. Divided by the trace P_m / P_k of
-    the continued state, the normalized rho_m is off by at most
-
-        beta_m = 2 min(lost, lam_next P_j / lambda_min(rho0)) / (P_m / P_k)
-
-    in trace norm. lambda_min(rho0) is computed only when 2 lost alone is
-    not enough; a pure start has none and keeps that bound.
-    """
-    k = len(cond)
-    w /= math.sqrt(float(np.vdot(w, w).real))
-    ratio, lam_min0 = 1.0, None       # P_m / P_k; lambda_min(rho0), when needed
-    for step in range(k + 1, cfg.measurements + 1):
-        nxt = extend(w, plus, minus)
-        p = float(np.vdot(nxt, nxt).real)
-        if p < cfg.extinction_floor:
-            return w, step
-        ratio *= p
-        bound = 2.0 * lost / ratio
-        if bound > CERTIFICATE_LIMIT:
-            if lam_min0 is None:
-                lam_min0 = float(np.linalg.eigvalsh(rho0)[0])
-            if lam_min0 > 0:
-                spread = lam_next * math.prod(cond[:step - k]) / lam_min0
-                bound = 2.0 * min(lost, spread) / ratio
-        if bound > CERTIFICATE_LIMIT:
-            return None
-        nxt /= math.sqrt(p)
-        w = nxt
-        gram = w.conj().T @ w
-        cond.append(p)
-        purs.append(float(np.vdot(gram, gram).real))
-    return w, None
-
-
-def _conditional_rounds(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet,
-                        e: float) -> tuple[list, list, np.ndarray, int | None]:
-    """(conditional p, purity, final rho, extinct step or None) of the
-    rounds with readout coherence e (_round), run matrix free on the fused
-    factors. Without dephasing (e = 1), once rho's rank has fallen to d/4
-    or less, the run continues on a block of state vectors, back to rho
-    rounds from the hand-off state if the block's certificate ever fails.
-
-    Ranks are checked from the first round whose purity reaches
-    HANDOFF_PURITY, then after 2, 4, 8, ... more rounds, so a run of M
-    rounds takes at most log2(M + 1) eigenvalue checks, whatever the
-    timing, and decomposes rho only after a check that passes.
+    Each round applies the reduced evolve/dephase/project map of the module
+    docstring matrix free on the fused factors (_round), then divides by
+    its p; with dephasing off that map is rho <- V rho V^dag / p. A round
+    whose p is below cfg.extinction_floor ends the trajectory before it,
+    with status "extinct". The returned state is made exactly Hermitian.
     """
     require_dense_memory(c.n_spins)
     plus, minus = _branch_factors(c, cfg)
+    e = np.exp(-cfg.dephasing_rate * cfg.effective_readout_time)
     # s/|alpha|^2 and s/|beta|^2; a branch of weight 0 has zero factors
     s = 0.5 * (1.0 - e)
     leak = tuple(s / w if w > 0 else 0.0
                  for w in (abs(cfg.alpha) ** 2, abs(cfg.beta) ** 2))
     rho = np.array(rho0, dtype=complex)
-    cond, purs = [], []
-    # step of the next rank check, rounds to the one after
-    check, gap = (None if e == 1.0 else math.inf), 2
+    cond, purs, extinct_step = [], [], None
     for step in range(1, cfg.measurements + 1):
         try:
             rho, p = _renormalize(_round(rho, plus, minus, e, leak),
                                   cfg.extinction_floor)
         except ExtinctionError:
-            return cond, purs, rho, step
+            extinct_step = step
+            break
         cond.append(p)
         purs.append(purity(rho))
-        if check is None and purs[-1] >= HANDOFF_PURITY:
-            check = step
-        if step != check or step == cfg.measurements:
-            continue
-        check, gap = step + gap, 2 * gap
-        handoff = _handoff_block(rho)
-        if handoff is None:
-            continue
-        done = _block_rounds(*handoff, rho0, plus, minus, cond, purs, cfg)
-        if done is not None:
-            w, extinct_step = done
-            del rho                    # rho_k, kept for a failed certificate
-            return cond, purs, _renormalize(w @ w.conj().T, 0.0)[0], extinct_step
-        del cond[step:], purs[step:]   # resume from rho_k, never hand off again
-        check = math.inf
-    return cond, purs, rho, None
-
-
-def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Trajectory:
-    """Evolve rho0 through up to cfg.measurements successful rounds.
-
-    Each round applies the reduced evolve/dephase/project map of the module
-    docstring matrix free, and divides by its p (_conditional_rounds).
-    With dephasing off that map is rho <- V rho V^dag / p, and once rho's
-    rank is low the run continues on a block of state vectors with a
-    certified error. A round whose p is below cfg.extinction_floor ends
-    the trajectory before it, with status "extinct".
-    """
-    e = np.exp(-cfg.dephasing_rate * cfg.effective_readout_time)
-    cond, purs, rho, extinct_step = _conditional_rounds(rho0, cfg, c, e)
     return Trajectory(
         conditional_p=np.array(cond),
         cumulative_p=np.cumprod(cond),
         purity=np.array(purs),
-        final_rho=rho,
+        final_rho=_hermitize(rho),
         status="completed" if extinct_step is None else "extinct",
         extinct_step=extinct_step,
     )

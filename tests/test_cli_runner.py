@@ -514,6 +514,24 @@ def test_scan_point_squares_without_stepping(monkeypatch):
     assert n_pairs == want[2]
 
 
+@pytest.mark.parametrize("m", [40, 100])
+def test_scan_point_within_dense_memory_estimate(m):
+    # M=40 squares; at M=100 P_M is below the floor and the point steps,
+    # which must not keep the squaring's matrices alive while it does
+    import tracemalloc
+    from pairbath.dynamics_dense import DENSE_MATRICES
+    n = 7
+    g = np.random.default_rng(26).normal(size=(n, 3)).tolist()
+    tracemalloc.start()
+    try:
+        cum = _scan_point((g, 1.0, 0.3, m))[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cum < 1e-14) == (m == 100)
+    assert peak <= DENSE_MATRICES * 16 * 4**n
+
+
 def test_main_seed_and_engine_overrides(tmp_path):
     doc = {"seed": 1,
            "geometry": {"kind": "explicit",

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -17,7 +15,6 @@ from pairbath.spin_core import (
 )
 from pairbath.dynamics_dense import (
     DENSE_MATRICES,
-    HANDOFF_TOL,
     ProtocolConfig,
     all_pair_rdms,
     apply_projection,
@@ -303,7 +300,7 @@ def test_run_protocol_rounds_match_dense_dephased_rounds(e, alpha, beta):
 
 def test_dephased_run_builds_no_full_bath_operators(monkeypatch):
     # only the fused factors' sub-baths go through build_branch_operators,
-    # and a dephased run never checks rho's rank for a hand-off
+    # with dephasing (gamma_d tau = 0.01) and without it
     import pairbath.dynamics_dense as dd
     c, tau = _chain_bath(8, dimers=True)
     real = dd.build_branch_operators
@@ -312,15 +309,12 @@ def test_dephased_run_builds_no_full_bath_operators(monkeypatch):
         if cs.n_spins == c.n_spins:
             raise AssertionError("dense U+- built on the full bath")
         return real(cs, t)
-
-    def no_handoff(rho):
-        raise AssertionError("rank checked in a dephased run")
     monkeypatch.setattr(dd, "build_branch_operators", sub_bath_only)
-    monkeypatch.setattr(dd, "_handoff_block", no_handoff)
-    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=60,
-                         dephasing_rate=0.01 / tau)
-    traj = run_protocol(maximally_mixed(8), cfg, c)
-    assert traj.status == "completed" and traj.steps == 60
+    for rate in (0.0, 0.01 / tau):
+        cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=60,
+                             dephasing_rate=rate)
+        traj = run_protocol(maximally_mixed(8), cfg, c)
+        assert traj.status == "completed" and traj.steps == 60
 
 
 def test_dephased_run_within_dense_memory_estimate():
@@ -378,104 +372,48 @@ def _assert_matches_gemm(traj, rho0, cfg, c):
             assert np.abs(diff).max() < 1e-12
 
 
-@pytest.fixture
-def block_rounds(monkeypatch):
-    """Column counts of the blocks run_protocol's block rounds ran on."""
-    import pairbath.dynamics_dense
-    real, ranks = pairbath.dynamics_dense.extend, []
-
-    def counted(state, *args):
-        ranks.append(state.shape[1])
-        return real(state, *args)
-    monkeypatch.setattr(pairbath.dynamics_dense, "extend", counted)
-    return ranks
-
-
-def test_handoff_run_matches_gemm_stepping(block_rounds):
-    c, tau = _chain_bath(8, dimers=True)
-    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=100)
-    traj = run_protocol(maximally_mixed(8), cfg, c)
-    assert traj.status == "completed"
-    # handed off to a block of at most d/4 columns
-    assert 0 < len(block_rounds) < 100 and max(block_rounds) <= 2**8 // 4
-    _assert_matches_gemm(traj, maximally_mixed(8), cfg, c)
-
-
-def test_handoff_certified_where_trace_bound_fails(block_rounds):
-    # criterion 7's chain without dephasing: after the hand-off at step k,
-    # P_M / P_k falls so far that 2 eps / (P_M / P_k) exceeds any useful
-    # limit; the certificate through lambda_min(rho0) keeps the block
-    c, tau = _chain_bath(6, dimers=False)
-    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=800)
-    traj = run_protocol(maximally_mixed(6), cfg, c)
-    k = cfg.measurements - len(block_rounds)
-    assert 0 < k < cfg.measurements
-    ratio = traj.cumulative_p[-1] / traj.cumulative_p[k - 1]
-    assert 2 * HANDOFF_TOL / ratio > 1.0
-    _assert_matches_gemm(traj, maximally_mixed(6), cfg, c)
-
-
 def _pure_chain_start():
     c, tau = _chain_bath(6, dimers=True)
     psi = _random_state(np.random.default_rng(41), 2**6)
     return c, tau, np.outer(psi, psi.conj())
 
 
-def test_pure_start_hands_off_after_first_round(block_rounds):
-    # lambda_min(rho0) = 0, so the certificate is 2 lost / (P_m / P_1)
-    c, tau, rho0 = _pure_chain_start()
-    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=20)
-    traj = run_protocol(rho0, cfg, c)
-    assert block_rounds == [1] * 19
-    _assert_matches_gemm(traj, rho0, cfg, c)
-
-
-@pytest.mark.parametrize("case", ["forced", "late"])
-def test_failed_certificate_resumes_rho_rounds(monkeypatch, block_rounds, case):
-    # forced: a limit of 0 refuses the first block round; late: from a pure
-    # start 2 lost / (P_m / P_1) outgrows 1e-12 after some block rounds
-    import pairbath.dynamics_dense
-    if case == "forced":
-        c, tau = _chain_bath(8, dimers=True)
-        rho0, m = maximally_mixed(8), 100
-        monkeypatch.setattr(pairbath.dynamics_dense, "CERTIFICATE_LIMIT", 0.0)
+@pytest.mark.parametrize("start,n,m", [("dimers", 8, 100), ("chain", 6, 800),
+                                       ("pure", 6, 20), ("pure", 6, 60)])
+def test_rho_rounds_match_gemm_stepping(start, n, m):
+    # mixed starts purify to rank 5 (the N=8 dimer chain by M=100) and 1
+    # (criterion 7's chain by M=800, where cumulative p falls to 3e-47)
+    if start == "pure":
+        c, tau, rho0 = _pure_chain_start()
     else:
-        (c, tau, rho0), m = _pure_chain_start(), 60
+        c, tau = _chain_bath(n, dimers=start == "dimers")
+        rho0 = maximally_mixed(n)
     cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=m)
     traj = run_protocol(rho0, cfg, c)
-    # the refused round is the last block round; a late refusal drops rows
-    assert len(block_rounds) == 1 if case == "forced" else len(block_rounds) > 1
-    monkeypatch.setattr(pairbath.dynamics_dense, "HANDOFF_PURITY", np.inf)
-    plain = run_protocol(rho0, cfg, c)
-    for name in ("conditional_p", "cumulative_p", "purity", "final_rho"):
-        assert np.array_equal(getattr(traj, name), getattr(plain, name))
+    assert traj.status == "completed"
     _assert_matches_gemm(traj, rho0, cfg, c)
 
 
-def test_extinct_block_round_ends_run(monkeypatch):
-    # the third block round leaves nothing: the run is cut before it and
-    # reports the state of a run that stopped there
-    import pairbath.dynamics_dense
-    c, tau, rho0 = _pure_chain_start()
-    real, calls = pairbath.dynamics_dense.extend, []
+def test_rho_rounds_stay_hermitian_without_hermitizing(monkeypatch):
+    # the kernel round's output, divided by its trace, is Hermitian to
+    # rounding every round; only the returned state is made exactly so
+    import pairbath.dynamics_dense as dd
+    real, drift = dd._round, []
 
-    def zero_on_third_call(state, *args):
-        calls.append(1)
-        out = real(state, *args)
-        return np.zeros_like(out) if len(calls) == 3 else out
-    monkeypatch.setattr(pairbath.dynamics_dense, "extend", zero_on_third_call)
-    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=20)
-    cut = run_protocol(rho0, cfg, c)
-    assert (cut.status, cut.extinct_step, cut.steps) == ("extinct", 4, 3)
-    calls.clear()
-    done = run_protocol(rho0, replace(cfg, measurements=3), c)
-    assert done.status == "completed" and len(calls) == 2
-    for name in ("conditional_p", "cumulative_p", "purity", "final_rho"):
-        assert np.array_equal(getattr(cut, name), getattr(done, name))
+    def recorded(rho, *args):
+        out = real(rho, *args)
+        drift.append(np.abs(out - out.conj().T).max() / np.trace(out).real)
+        return out
+    monkeypatch.setattr(dd, "_round", recorded)
+    c, tau = _chain_bath(8, dimers=True)
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=100)
+    traj = run_protocol(maximally_mixed(8), cfg, c)
+    assert len(drift) == 100 and max(drift) < 1e-15
+    assert np.array_equal(traj.final_rho, traj.final_rho.conj().T)
 
 
-def test_handoff_run_within_dense_memory_estimate(block_rounds):
-    # rho rounds, the decomposition and the block rounds with rho_k held
+def test_run_within_dense_memory_estimate():
+    # rho0, rho and a round's temporaries, from a pure start
     import tracemalloc
     n = 7
     rng = np.random.default_rng(27)
@@ -488,7 +426,6 @@ def test_handoff_run_within_dense_memory_estimate(block_rounds):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(block_rounds) == 2
     assert peak <= DENSE_MATRICES * 16 * 4**n
 
 
