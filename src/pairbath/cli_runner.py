@@ -498,7 +498,7 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
         traj_rows = [(s + 1, traj.conditional_p[s], traj.cumulative_p[s],
                       traj.purity[s]) for s in range(steps)]
         rdms = all_pair_rdms(traj.final_rho, n)
-        final_purity = float(traj.purity[-1]) if steps else float("nan")
+        final_purity = float(traj.purity[-1]) if steps else purity(traj.final_rho)
     elif eng["name"] == "factored":
         if eng["initial_state"] == "haar":
             from .dynamics_factored import _haar_product
@@ -573,9 +573,8 @@ def _scan_point(args):
     g_rows, omega, tau, measurements = args
     c = CouplingSet(np.asarray(g_rows, dtype=float), omega)
     cfg = ProtocolConfig(omega=omega, tau=tau, measurements=measurements)
-    rho0 = maximally_mixed(c.n_spins)
     try:
-        rho, cum = final_state_by_squaring(rho0, build_V(c, tau), measurements,
+        rho, cum = final_state_by_squaring(build_V(c, tau), measurements,
                                            cfg.extinction_floor)
     except ExtinctionError:
         # step once the handler is left: until then the exception's
@@ -584,7 +583,7 @@ def _scan_point(args):
     if rho is not None:
         pur, status = purity(rho), "completed"
     else:
-        traj = run_protocol(rho0, cfg, c)
+        traj = run_protocol(maximally_mixed(c.n_spins), cfg, c)
         rho, status = traj.final_rho, traj.status
         cum = float(traj.cumulative_p[-1]) if traj.steps else float("nan")
         pur = float(traj.purity[-1]) if traj.steps else float("nan")

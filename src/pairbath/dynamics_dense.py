@@ -35,10 +35,10 @@ which is V rho V^dag at e = 1. Every round of a run is this one, followed
 by a divide by its trace, whatever rho's rank: an eigendecomposition to
 continue on a low-rank block costs more than the rounds it would save.
 
-Without dephasing the final state also needs only W = V^M:
-rho_M = W rho0 W^dag / P_M with P_M = Tr[W rho0 W^dag], the cumulative
-probability. final_state_by_squaring builds W by repeated squaring, in
-O(log M) products instead of M sandwiches.
+Without dephasing the final state from the maximally mixed start also
+needs only W = V^M: rho_M = W W^dag / Tr[W W^dag], with the cumulative
+probability P_M = Tr[W W^dag] / d. final_state_by_squaring builds W by
+repeated squaring, in O(log M) products instead of M sandwiches.
 """
 
 from __future__ import annotations
@@ -58,12 +58,12 @@ EXTINCTION_FLOOR = 1e-14
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # d x d complex matrices the dense engine holds at its peak, rounded up.
-# Peaks read with tracemalloc at N=8: 6.03 for a run_protocol with or
-# without dephasing (rho0, rho, A, B and the round's output and right
-# application), 6.00 for a scan point that squares (rho0, V, W, and the
-# final sandwich's W rho0, conj(W) and output) and 6.04 for one that falls
-# back to stepping.
-DENSE_MATRICES = 7
+# Peaks read with tracemalloc at N=8: 5.03 for a run_protocol from a start
+# its caller passes as a temporary, with or without dephasing (rho, A and B
+# or their sum, the round's output and a right application's intermediate
+# and result), 4.13 for a scan point that squares (V, W, conj(W) and
+# W W^dag) and 5.03 for one that falls back to stepping.
+DENSE_MATRICES = 6
 
 
 @dataclass(frozen=True)
@@ -160,12 +160,7 @@ def apply_projection(rho: np.ndarray, V: np.ndarray,
 
 
 def _renormalize(out: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
-    """(out / p, p) with p = Tr out; raises ExtinctionError if p < floor.
-
-    The kernel round's two left and two right applications keep rho
-    Hermitian to rounding (|rho - rho^dag| at most 2.3e-17 over the N=10
-    dimer chain's 100 rounds), so the divide is all it needs.
-    """
+    """(out / p, p) with p = Tr out; raises ExtinctionError if p < floor."""
     p = float(np.real(np.trace(out)))
     if p < floor:
         raise ExtinctionError(probability=p)
@@ -182,13 +177,13 @@ def _hermitize(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def final_state_by_squaring(rho0: np.ndarray, V: np.ndarray, measurements: int,
+def final_state_by_squaring(V: np.ndarray, measurements: int,
                             floor: float = EXTINCTION_FLOOR) -> tuple[np.ndarray, float]:
-    """(rho_M, P_M) after M rounds without dephasing, from W = V^M by squaring.
+    """(rho_M, P_M) after M undephased rounds from I/d, by squaring W = V^M.
 
     Each product of the binary powering is divided by its Frobenius norm
     and the log of that norm is accumulated, so W never underflows. Then
-    P_M = Tr[W rho0 W^dag] exp(2 logscale). Every conditional p of the
+    P_M = Tr[W W^dag] / d exp(2 logscale). Every conditional p of the
     rounds satisfies p_k = P_k / P_(k-1) >= P_M, so when P_M >= floor no
     round is extinct and the result is that of stepping. Otherwise this
     raises ExtinctionError with P_M, and only stepping (run_protocol) can
@@ -219,10 +214,10 @@ def final_state_by_squaring(rho0: np.ndarray, V: np.ndarray, measurements: int,
             break
         power, s = rescaled(power @ power)
         log_power = 2.0 * log_power + s
-    del power                          # the sandwich's temporaries take its place
+    del power                          # the product's temporaries take its place
 
-    out = w @ rho0 @ w.conj().T
-    p = float(np.real(np.trace(out))) * math.exp(2.0 * log_w)
+    out = w @ w.conj().T               # d times W (I/d) W^dag
+    p = float(np.real(np.trace(out))) / len(w) * math.exp(2.0 * log_w)
     if not p >= floor:
         raise ExtinctionError(probability=p)
     rho, _ = _renormalize(out, 0.0)    # the floor is on P_M, tested above
@@ -303,7 +298,9 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     docstring matrix free on the fused factors (_round), then divides by
     its p; with dephasing off that map is rho <- V rho V^dag / p. A round
     whose p is below cfg.extinction_floor ends the trajectory before it,
-    with status "extinct". The returned state is made exactly Hermitian.
+    with status "extinct". The kernel keeps rho Hermitian to rounding
+    (|rho - rho^dag| <= 2.3e-17 over the N=10 dimer chain's 100 rounds),
+    so rounds only divide; the returned state is made exactly Hermitian.
     """
     require_dense_memory(c.n_spins)
     plus, minus = _branch_factors(c, cfg)
@@ -312,15 +309,17 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     s = 0.5 * (1.0 - e)
     leak = tuple(s / w if w > 0 else 0.0
                  for w in (abs(cfg.alpha) ** 2, abs(cfg.beta) ** 2))
-    rho = np.array(rho0, dtype=complex)
+    rho = np.array(rho0, dtype=complex)  # a copy: _hermitize writes in place
+    del rho0                             # frees a caller's temporary start
     cond, purs, extinct_step = [], [], None
     for step in range(1, cfg.measurements + 1):
-        try:
-            rho, p = _renormalize(_round(rho, plus, minus, e, leak),
-                                  cfg.extinction_floor)
-        except ExtinctionError:
+        out = _round(rho, plus, minus, e, leak)
+        p = float(np.real(np.trace(out)))
+        if not p >= cfg.extinction_floor:
             extinct_step = step
             break
+        out /= p
+        rho = out
         cond.append(p)
         purs.append(purity(rho))
     return Trajectory(

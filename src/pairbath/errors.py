@@ -11,8 +11,8 @@ class ConfigError(ValueError):
 class ExtinctionError(RuntimeError):
     """A dense conditional round's probability fell below the extinction floor.
 
-    run_protocol catches it and ends the trajectory with status "extinct";
-    the CLI exits 3 on that status, whatever the engine.
+    apply_projection raises it; run_protocol ends the trajectory before such
+    a round with status "extinct", and the CLI exits 3 on it, whatever the engine.
     final_state_by_squaring raises it when the cumulative probability of
     all rounds is below the floor, which leaves open whether a single
     round was.

@@ -328,11 +328,11 @@ def _read_pairs(path):
     return np.array([[float(v) for v in ln.split(",")] for ln in lines])
 
 
-@pytest.mark.parametrize("engine", ["factored", "montecarlo"])
+@pytest.mark.parametrize("engine", ["dense", "factored", "montecarlo"])
 def test_extinct_run_pairs_describe_start_state(tmp_path, capsys, engine):
     # an odd number of transverse spins with tau = pi/2 makes V = 0, so the
-    # run ends before its first step and pairs.csv describes the start:
-    # |000> for factored, the maximally mixed state for montecarlo
+    # run ends before its first step and pairs.csv and final_purity describe
+    # the start: |000> for factored, the maximally mixed state otherwise
     doc = {"geometry": {"kind": "explicit", "g_vectors": [[1.0, 0.0, 0.0]] * 3},
            "protocol": {"omega": 0.0, "tau": float(np.pi / 2), "measurements": 3},
            "engine": {"name": engine, "samples": 4}}

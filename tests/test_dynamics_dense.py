@@ -317,13 +317,15 @@ def test_dephased_run_builds_no_full_bath_operators(monkeypatch):
         assert traj.status == "completed" and traj.steps == 60
 
 
-def test_dephased_run_within_dense_memory_estimate():
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_dephased_run_within_dense_memory_estimate(rate):
     # the dense memory check assumes DENSE_MATRICES matrices of 4^N entries;
-    # a dephased round holds rho0, rho, A, B and their sum
+    # from the mixed start run passes, a round holds rho, A, B, their sum
+    # and the right applications, the start being freed after its copy
     import tracemalloc
     n = 7
     c = CouplingSet(np.random.default_rng(26).normal(size=(n, 3)), 1.0)
-    cfg = ProtocolConfig(omega=1.0, tau=0.3, measurements=3, dephasing_rate=0.3)
+    cfg = ProtocolConfig(omega=1.0, tau=0.3, measurements=3, dephasing_rate=rate)
     tracemalloc.start()
     try:
         run_protocol(maximally_mixed(n), cfg, c)
@@ -413,7 +415,7 @@ def test_rho_rounds_stay_hermitian_without_hermitizing(monkeypatch):
 
 
 def test_run_within_dense_memory_estimate():
-    # rho0, rho and a round's temporaries, from a pure start
+    # rho and a round's temporaries, from a pure start freed after its copy
     import tracemalloc
     n = 7
     rng = np.random.default_rng(27)
@@ -436,13 +438,12 @@ def test_final_state_by_squaring_matches_stepping(n):
     for m in (1, 2, 3, 40, 64, 100, 255):
         c = CouplingSet(rng.normal(0, 1.0, (n, 3)), rng.uniform(0.5, 2.0))
         tau = rng.uniform(0.2, 1.0)
-        rho0 = _random_mixed(rng, 2**n)
         # a floor this low lets deep M run, where P_M is far below 1e-14
         cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=m, alpha=alpha,
                              beta=beta, extinction_floor=1e-300)
-        traj = run_protocol(rho0, cfg, c)
+        traj = run_protocol(maximally_mixed(n), cfg, c)
         assert traj.status == "completed"
-        rho, p = final_state_by_squaring(rho0, build_V(c, tau, alpha, beta), m,
+        rho, p = final_state_by_squaring(build_V(c, tau, alpha, beta), m,
                                          cfg.extinction_floor)
         assert np.abs(rho - traj.final_rho).max() < 1e-12
         assert abs(p / traj.cumulative_p[-1] - 1.0) < 1e-12
@@ -454,13 +455,13 @@ def test_final_state_by_squaring_raises_below_floor():
     # p = cos^2(tau) = 0.05 per round: P_11 = 0.05^11 = 4.9e-15 < 1e-14
     v = build_V(c, 1.3452829208967654)
     with pytest.raises(ExtinctionError) as exc:
-        final_state_by_squaring(maximally_mixed(1), v, 11)
+        final_state_by_squaring(v, 11)
     assert abs(exc.value.probability / 0.05**11 - 1.0) < 1e-12
-    rho, p = final_state_by_squaring(maximally_mixed(1), v, 10)
+    rho, p = final_state_by_squaring(v, 10)
     assert abs(p / 0.05**10 - 1.0) < 1e-12
     # V = 0
     with pytest.raises(ExtinctionError):
-        final_state_by_squaring(maximally_mixed(1), build_V(c, np.pi / 2), 3)
+        final_state_by_squaring(build_V(c, np.pi / 2), 3)
 
 
 def _pair_rdm_oracle(rho, n, i, j):
