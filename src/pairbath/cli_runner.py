@@ -586,7 +586,7 @@ def _scan_point(args):
         traj = run_protocol(maximally_mixed(c.n_spins), cfg, c)
         rho, status = traj.final_rho, traj.status
         cum = float(traj.cumulative_p[-1]) if traj.steps else float("nan")
-        pur = float(traj.purity[-1]) if traj.steps else float("nan")
+        pur = float(traj.purity[-1]) if traj.steps else purity(traj.final_rho)
     asg = detect_pairing(all_pair_rdms(rho, c.n_spins), c.n_spins)
     n_pairs = sum(1 for m in asg.matches if m.fidelity > 0.9)
     return pur, cum, n_pairs, status

@@ -23,8 +23,9 @@ with e = exp(-gamma_d * readout_time), a 2 x 2 chi-matrix sum
 sum_ij c_ij U_i rho U_j^dag (Nielsen & Chuang, section 8.4.2).
 
 run_protocol never forms U+- or V on the full bath. V is the sum of two
-Kronecker products, each of a few fused factors (dynamics_factored) that
-carry the weights: U'+ = |alpha|^2 U+ and U'- = |beta|^2 U-. With A = U'+ rho,
+Kronecker products, each of a few fused factors that carry the weights,
+from the builder every engine shares (dynamics_factored; build_V is its
+one-run case): U'+ = |alpha|^2 U+ and U'- = |beta|^2 U-. With A = U'+ rho,
 B = U'- rho and s = (1-e)/2, a round is two applications from the left
 and two from the right,
 
@@ -45,13 +46,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .dynamics_factored import apply_left, apply_right, balanced_bounds
+from .dynamics_factored import apply_left, apply_right, build_branch_operators
 from .errors import ConfigError, ExtinctionError, require_memory
-from .spin_core import CouplingSet, branch_propagators
+from .spin_core import CouplingSet
 
 EXTINCTION_FLOOR = 1e-14
 
@@ -130,26 +130,17 @@ def purity(rho: np.ndarray) -> float:
     return float(np.vdot(rho, rho).real)
 
 
-def build_branch_operators(c: CouplingSet, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense U+ and U- on the full bath, as Kronecker chains of the per-spin pairs.
-
-    Raises CapacityError, before any propagator is built, if the dense
-    engine's matrices would not fit in physical memory.
-    """
-    require_dense_memory(c.n_spins)
-    one = np.eye(1, dtype=complex)
-    return tuple(reduce(np.kron, u, one)
-                 for u in branch_propagators(c.g_vectors, c.omega, tau))
-
-
 def build_V(c: CouplingSet, tau: float, alpha: complex = INV_SQRT2,
             beta: complex = INV_SQRT2) -> np.ndarray:
-    """Conditional operator V = |alpha|^2 U+ + |beta|^2 U-."""
+    """Conditional operator V = |alpha|^2 U+ + |beta|^2 U-, the one-run case
+    of the shared factor builder. Raises CapacityError, before any
+    propagator is built, if the dense engine's matrices would not fit."""
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm - 1.0) > 1e-12:
         raise ConfigError(f"|alpha|^2 + |beta|^2 = {norm!r}, must be 1")
-    up, um = build_branch_operators(c, tau)
-    return abs(alpha) ** 2 * up + abs(beta) ** 2 * um
+    require_dense_memory(c.n_spins)
+    plus, minus = build_branch_operators(c, tau, alpha, beta, [0, c.n_spins])
+    return plus[0] + minus[0]
 
 
 def apply_projection(rho: np.ndarray, V: np.ndarray,
@@ -251,20 +242,6 @@ def all_pair_rdms(rho: np.ndarray, n: int) -> dict[tuple[int, int], np.ndarray]:
     return rdms
 
 
-def _branch_factors(c: CouplingSet, cfg: ProtocolConfig) -> tuple[list, list]:
-    """Fused factors of |alpha|^2 U+ and |beta|^2 U-, as branch_factors
-    gives them. Each run's factor is that run's dense branch operator,
-    built through build_branch_operators like every dense U+- (perfbench's
-    --trace 1 reads its calls as dense.build_s)."""
-    bounds = balanced_bounds(c.n_spins)
-    plus, minus = (list(f) for f in zip(*(
-        build_branch_operators(CouplingSet(c.g_vectors[lo:hi], c.omega), cfg.tau)
-        for lo, hi in zip(bounds, bounds[1:]))))
-    plus[0] = abs(cfg.alpha) ** 2 * plus[0]
-    minus[0] = abs(cfg.beta) ** 2 * minus[0]
-    return plus, minus
-
-
 def _round(rho: np.ndarray, plus: list, minus: list, e: float,
            leak: tuple[float, float]) -> np.ndarray:
     """One round, unnormalized, as two left and two right applications of
@@ -303,7 +280,7 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     so rounds only divide; the returned state is made exactly Hermitian.
     """
     require_dense_memory(c.n_spins)
-    plus, minus = _branch_factors(c, cfg)
+    plus, minus = build_branch_operators(c, cfg.tau, cfg.alpha, cfg.beta)
     e = np.exp(-cfg.dephasing_rate * cfg.effective_readout_time)
     # s/|alpha|^2 and s/|beta|^2; a branch of weight 0 has zero factors
     s = 0.5 * (1.0 - e)

@@ -7,8 +7,10 @@ dense engine. One round maps every column psi to |alpha|^2 U+ psi +
 fewest runs of at most FUSE consecutive spins, of balanced sizes, and
 each run is fused into one Kronecker factor, applied as one matmul on a
 reshaped view (Hams & De Raedt, PRE 62, 4365 (2000)); the weights ride
-on the first factor. The dense engine's matrix-free rho rounds use the
-same kernel, from the left (apply_left) and from the right (apply_right).
+on the first factor. build_branch_operators builds them for every
+engine; with bounds [0, N] they are the weighted dense U+- build_V sums. The
+dense engine's rho rounds use the same kernel, from the left (apply_left)
+and from the right (apply_right).
 The block is never renormalized, so its mean squared column norm after m
 rounds is the cumulative success probability P_m, free of cancellation,
 and a round's conditional p is the ratio of two consecutive ones. Memory
@@ -49,21 +51,21 @@ def balanced_bounds(n: int, fuse: int = FUSE) -> list[int]:
     return [k * n // count for k in range(count + 1)]
 
 
-def fused_factors(u: np.ndarray, bounds: list[int], weight: complex = 1.0) -> list:
-    """Kronecker factors of the (N, 2, 2) stack u, one per run of spins
-    between consecutive bounds, with weight folded into the first."""
-    factors = [reduce(np.kron, u[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    factors[0] = weight * factors[0]
-    return factors
-
-
-def branch_factors(up: np.ndarray, um: np.ndarray, alpha: complex,
-                   beta: complex) -> tuple[list, list]:
-    """Fused factors of |alpha|^2 U+ and |beta|^2 U- over balanced runs of
-    spins; up and um are the spins' (N, 2, 2) propagators."""
-    bounds = balanced_bounds(len(up))
-    return (fused_factors(up, bounds, abs(alpha) ** 2),
-            fused_factors(um, bounds, abs(beta) ** 2))
+def build_branch_operators(c: CouplingSet, tau: float, alpha: complex,
+                           beta: complex, bounds: list[int] | None = None
+                           ) -> tuple[list, list]:
+    """Kronecker factors of |alpha|^2 U+ and |beta|^2 U-, one per run of
+    spins between consecutive bounds (default balanced_bounds), with the
+    weights folded into the first factor. bounds [0, N] gives the dense
+    operators of the whole bath, each a one-factor list."""
+    bounds = balanced_bounds(c.n_spins) if bounds is None else bounds
+    out = []
+    for u, weight in zip(branch_propagators(c.g_vectors, c.omega, tau),
+                         (abs(alpha) ** 2, abs(beta) ** 2)):
+        factors = [reduce(np.kron, u[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        factors[0] = weight * factors[0]
+        out.append(factors)
+    return tuple(out)
 
 
 def apply_left(factors: list, state: np.ndarray) -> np.ndarray:
@@ -91,7 +93,7 @@ def apply_right(state: np.ndarray, factors: list) -> np.ndarray:
 
 def extend(state: np.ndarray, plus: list, minus: list) -> np.ndarray:
     """One round on the block: V state with V = (kron plus) + (kron minus),
-    the fused factors of |alpha|^2 U+ and |beta|^2 U- (branch_factors)."""
+    the fused factors of |alpha|^2 U+ and |beta|^2 U- (build_branch_operators)."""
     dim = math.prod(len(f) for f in plus)
     if dim != state.shape[0] or math.prod(len(f) for f in minus) != dim:
         raise ValueError(f"factors of dimension {dim} for a block of "
@@ -142,8 +144,7 @@ def _propagate(states: np.ndarray, cfg: ProtocolConfig,
     require_memory(BLOCKS * r * 16 * 2**n,
                    f"{BLOCKS} blocks of 2^{n} x {r} complex amplitudes",
                    "use fewer spins or samples")
-    plus, minus = branch_factors(*branch_propagators(c.g_vectors, c.omega, cfg.tau),
-                                 cfg.alpha, cfg.beta)
+    plus, minus = build_branch_operators(c, cfg.tau, cfg.alpha, cfg.beta)
     state = reduce(lambda b, s: (b[:, None, :] * s).reshape(-1, r), states,
                    np.ones((1, r), dtype=complex))
     cum, prev = [], 1.0

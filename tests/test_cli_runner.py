@@ -4,7 +4,7 @@ import yaml
 
 from pairbath.analysis import detect_pairing
 from pairbath.dynamics_dense import (ProtocolConfig, all_pair_rdms,
-                                     maximally_mixed, run_protocol)
+                                     maximally_mixed, purity, run_protocol)
 from pairbath.errors import ConfigError
 from pairbath.spin_core import CouplingSet
 from pairbath.cli_runner import (
@@ -441,11 +441,11 @@ SMALL_SCAN = {"omega": {"start": 1.0, "stop": 1.0, "points": 1},
 
 
 def _no_propagators(monkeypatch):
-    import pairbath.dynamics_dense
+    import pairbath.dynamics_factored
 
     def no_propagators(*args, **kwargs):
         raise AssertionError("branch propagators were built")
-    monkeypatch.setattr(pairbath.dynamics_dense, "branch_propagators",
+    monkeypatch.setattr(pairbath.dynamics_factored, "branch_propagators",
                         no_propagators)
 
 
@@ -483,7 +483,7 @@ def _stepped_point(g, omega, tau, m):
     traj = run_protocol(maximally_mixed(c.n_spins),
                         ProtocolConfig(omega=omega, tau=tau, measurements=m), c)
     asg = detect_pairing(all_pair_rdms(traj.final_rho, c.n_spins), c.n_spins)
-    return (traj.purity[-1] if traj.steps else float("nan"),
+    return (traj.purity[-1] if traj.steps else purity(traj.final_rho),
             traj.cumulative_p[-1] if traj.steps else float("nan"),
             sum(1 for x in asg.matches if x.fidelity > 0.9), traj.status)
 
@@ -494,9 +494,13 @@ def test_scan_point_falls_back_to_stepping_below_floor():
     got = _scan_point((g, 0.0, 1.3452829208967654, 11))
     assert got[3] == "completed"
     assert got == _stepped_point(g, 0.0, 1.3452829208967654, 11)
-    # V = 0: the first round is extinct
-    pur, cum, n_pairs, status = _scan_point((g, 0.0, float(np.pi / 2), 11))
-    assert status == "extinct" and np.isnan(pur) and np.isnan(cum)
+    # V = 0: the first round is extinct; purity is the start's, 1/2, as
+    # run reports it, and no cumulative p exists
+    got = _scan_point((g, 0.0, float(np.pi / 2), 11))
+    pur, cum, n_pairs, status = got
+    assert status == "extinct" and pur == 0.5 and np.isnan(cum)
+    want = _stepped_point(g, 0.0, float(np.pi / 2), 11)
+    assert got[0] == want[0] and got[2:] == want[2:]
 
 
 def test_scan_point_squares_without_stepping(monkeypatch):

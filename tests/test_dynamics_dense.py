@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -8,6 +10,7 @@ from pairbath.spin_core import (
     SIGMA_Y,
     SIGMA_Z,
     CouplingSet,
+    branch_propagators,
     chain_geometry,
     dimer_chain_geometry,
     dipolar_couplings,
@@ -18,7 +21,6 @@ from pairbath.dynamics_dense import (
     ProtocolConfig,
     all_pair_rdms,
     apply_projection,
-    build_branch_operators,
     build_V,
     final_state_by_squaring,
     maximally_mixed,
@@ -281,7 +283,8 @@ def test_run_protocol_rounds_match_dense_dephased_rounds(e, alpha, beta):
     traj = run_protocol(rho0, cfg, c)
 
     e = np.exp(-cfg.dephasing_rate * cfg.effective_readout_time)
-    up, um = build_branch_operators(c, tau)
+    up, um = (reduce(np.kron, u)
+              for u in branch_propagators(c.g_vectors, c.omega, tau))
     wa, wb = abs(alpha) ** 2, abs(beta) ** 2
     v = wa * up + wb * um
     rho, cond, purs = rho0, [], []
@@ -299,16 +302,17 @@ def test_run_protocol_rounds_match_dense_dephased_rounds(e, alpha, beta):
 
 
 def test_dephased_run_builds_no_full_bath_operators(monkeypatch):
-    # only the fused factors' sub-baths go through build_branch_operators,
+    # run_protocol builds only fused factors, none spanning the whole bath,
     # with dephasing (gamma_d tau = 0.01) and without it
     import pairbath.dynamics_dense as dd
     c, tau = _chain_bath(8, dimers=True)
     real = dd.build_branch_operators
 
-    def sub_bath_only(cs, t):
-        if cs.n_spins == c.n_spins:
+    def sub_bath_only(*args, **kwargs):
+        plus, minus = real(*args, **kwargs)
+        if any(len(f) == 2**c.n_spins for f in plus + minus):
             raise AssertionError("dense U+- built on the full bath")
-        return real(cs, t)
+        return plus, minus
     monkeypatch.setattr(dd, "build_branch_operators", sub_bath_only)
     for rate in (0.0, 0.01 / tau):
         cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=60,

@@ -7,6 +7,7 @@ from pairbath.spin_core import CouplingSet, branch_propagators
 from pairbath.dynamics_dense import (
     ProtocolConfig,
     all_pair_rdms,
+    build_V,
     maximally_mixed,
     pair_rdm,
     purity,
@@ -18,9 +19,8 @@ from pairbath.dynamics_factored import (
     apply_left,
     apply_right,
     balanced_bounds,
-    branch_factors,
+    build_branch_operators,
     extend,
-    fused_factors,
     mixed_state_monte_carlo,
     reduced_density_matrix,
     run_factored,
@@ -57,13 +57,14 @@ def test_extend_single_round_weights():
     c = CouplingSet(np.array([[0.3, -0.2, 0.9]]), 1.1)
     up, um = branch_propagators(c.g_vectors, c.omega, 0.4)
     start = np.array([[1.0], [0.0]], dtype=complex)
-    state = extend(start, *branch_factors(up, um, 2**-0.5, 2**-0.5))
+    state = extend(start, *build_branch_operators(c, 0.4, 2**-0.5, 2**-0.5))
     assert state.shape == (2, 1)
     want = 0.5 * up[0][:, 0] + 0.5 * um[0][:, 0]
     assert np.abs(state[:, 0] - want).max() < 1e-15
     assert abs(success_probability(state) - np.vdot(want, want).real) < 1e-15
     with pytest.raises(ValueError, match="dimension 4 for a block of 2 rows"):
-        extend(start, *branch_factors(up[[0, 0]], um[[0, 0]], 2**-0.5, 2**-0.5))
+        two = CouplingSet(c.g_vectors[[0, 0]], c.omega)
+        extend(start, *build_branch_operators(two, 0.4, 2**-0.5, 2**-0.5))
 
 
 def test_balanced_bounds():
@@ -84,21 +85,34 @@ def test_fused_application_matches_dense():
     n = 7
     block = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
     rows = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
-    u = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    dense = (0.3 - 0.4j) * reduce(np.kron, u)
-    for bounds in ([0, 1, 3, 5, 7], list(range(8)), [0, 7], balanced_bounds(n)):
-        factors = fused_factors(u, bounds, 0.3 - 0.4j)
-        want = dense @ block
-        got = apply_left(factors, block)
-        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
-        want = rows @ dense.conj().T
-        got = apply_right(rows, factors)
-        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
     c = CouplingSet(rng.normal(0, 1.0, (n, 3)), 0.7)
     up, um = branch_propagators(c.g_vectors, c.omega, 0.45)
-    v = 0.36 * reduce(np.kron, up) + 0.64 * reduce(np.kron, um)
-    got = extend(block, *branch_factors(up, um, 0.6, 0.8j))
-    assert np.abs(got - v @ block).max() < 1e-12
+    dense = (0.36 * reduce(np.kron, up), 0.64 * reduce(np.kron, um))
+    for bounds in ([0, 1, 3, 5, 7], list(range(8)), [0, 7], balanced_bounds(n)):
+        for factors, op in zip(build_branch_operators(c, 0.45, 0.6, 0.8j, bounds),
+                               dense):
+            want = op @ block
+            got = apply_left(factors, block)
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+            want = rows @ op.conj().T
+            got = apply_right(rows, factors)
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+    got = extend(block, *build_branch_operators(c, 0.45, 0.6, 0.8j))
+    assert np.abs(got - (dense[0] + dense[1]) @ block).max() < 1e-12
+
+
+def test_one_run_builds_the_dense_operators():
+    # bounds [0, N]: one factor per branch, exactly |w|^2 kron(U), which
+    # build_V sums
+    rng = np.random.default_rng(41)
+    n, tau, alpha, beta = 6, 0.37, 0.6, 0.8j
+    c = CouplingSet(rng.normal(0, 1.0, (n, 3)), 1.3)
+    built = build_branch_operators(c, tau, alpha, beta, [0, n])
+    for factors, u, w in zip(built, branch_propagators(c.g_vectors, c.omega, tau),
+                             (alpha, beta)):
+        assert len(factors) == 1
+        assert np.array_equal(factors[0], abs(w) ** 2 * reduce(np.kron, u))
+    assert np.array_equal(build_V(c, tau, alpha, beta), built[0][0] + built[1][0])
 
 
 def test_longitudinal_norm_closed_form():

@@ -17,12 +17,14 @@ import layers
 from tracing import Tracer
 from pairbath import dynamics_dense as dd
 
+# per_layer makes these direct calls before it installs the tracer, so
+# they must not be what gives a span metric its spans
+c, tau, _ = layers.dense_bath("dephase", 0)
+dd.apply_projection(dd.maximally_mixed(c.n_spins), dd.build_V(c, tau))
 tracer = Tracer()   # no out_dir: the spans stay in memory
 tracer.install()
 for probe in set(layers.PROBES.values()):
     probe(1)
-c, tau, _ = layers.dense_bath("dephase", 0)
-dd.apply_projection(dd.maximally_mixed(c.n_spins), dd.build_V(c, tau))
 missing = [m for m in layers.SPAN_METRICS if not layers.durations(tracer.spans, m)]
 if missing:
     sys.exit("no spans for " + ", ".join(missing))
