@@ -18,13 +18,14 @@ from .dynamics_dense import (
     apply_projection,
     build_V,
     maximally_mixed,
-    pair_rdm,
     purity,
     run_protocol,
 )
 from .dynamics_factored import (
     extend,
     mixed_state_monte_carlo,
+    pair_rdm,
+    pair_rdms,
     reduced_density_matrix,
     run_factored,
     success_probability,

@@ -44,7 +44,7 @@ from .dynamics_dense import (
 )
 from .dynamics_factored import (
     mixed_state_monte_carlo,
-    reduced_density_matrix,
+    pair_rdms,
     run_factored,
 )
 from .errors import CapacityError, ConfigError, ExtinctionError
@@ -491,6 +491,7 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
     pcfg = _protocol_config(cfg, omega, tau)
     eng = cfg["engine"]
     purity_estimate = None
+    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     if eng["name"] == "dense":
         traj = run_protocol(maximally_mixed(n), pcfg, c)
@@ -508,11 +509,9 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
         state, cum = run_factored(states, pcfg, c)
         # conditioned pure states stay pure
         traj_rows = _factored_rows(cum, 1.0)
-        rdms = {(i, j): reduced_density_matrix(state, i, j)
-                for i in range(n) for j in range(i + 1, n)}
+        rdms = pair_rdms(state, pair_list)
         final_purity = 1.0
     else:
-        pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
         res = mixed_state_monte_carlo(
             c, pcfg, samples=eng["samples"], seed=cfg["seed"],
             pair_list=pair_list, basis=eng["sample_basis"],

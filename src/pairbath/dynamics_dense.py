@@ -26,13 +26,15 @@ run_protocol never forms U+- or V on the full bath. V is the sum of two
 Kronecker products, each of a few fused factors that carry the weights,
 from the builder every engine shares (dynamics_factored; build_V is its
 one-run case): U'+ = |alpha|^2 U+ and U'- = |beta|^2 U-. With A = U'+ rho,
-B = U'- rho and s = (1-e)/2, a round is two applications from the left
-and two from the right,
+B = U'- rho and s = (1-e)/2, a round is
 
     rho' = X+ U'+^dag + X- U'-^dag,
     X+ = e (A + B) + s/|alpha|^2 A,    X- = e (A + B) + s/|beta|^2 B,
 
-which is V rho V^dag at e = 1. Every round of a run is this one, followed
+which is V rho V^dag at e = 1. It takes four calls of the one kernel,
+apply_t, which returns its product transposed: A^T and B^T from the
+factors, then X+- U'+-^dag = (conj(U'+-) X+-^T)^T from the conjugated
+factors, built once per run. Every round of a run is this one, followed
 by a divide by its trace, whatever rho's rank: an eigendecomposition to
 continue on a low-rank block costs more than the rounds it would save.
 
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics_factored import apply_left, apply_right, build_branch_operators
+from .dynamics_factored import apply_t, build_branch_operators, pair_rdm
 from .errors import ConfigError, ExtinctionError, require_memory
 from .spin_core import CouplingSet
 
@@ -60,8 +62,8 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # d x d complex matrices the dense engine holds at its peak, rounded up.
 # Peaks read with tracemalloc at N=8: 5.03 for a run_protocol from a start
 # its caller passes as a temporary, with or without dephasing (rho, A and B
-# or their sum, the round's output and a right application's intermediate
-# and result), 4.13 for a scan point that squares (V, W, conj(W) and
+# or their sum, the round's output and an application's intermediate and
+# result), 4.13 for a scan point that squares (V, W, conj(W) and
 # W W^dag) and 5.03 for one that falls back to stepping.
 DENSE_MATRICES = 6
 
@@ -215,25 +217,6 @@ def final_state_by_squaring(V: np.ndarray, measurements: int,
     return _hermitize(rho), p
 
 
-def pair_rdm(rho: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Two-spin reduced density matrix of spins (i, j), basis order (i, j).
-
-    The trace over the other spins is an einsum diagonal on a 10-axis view
-    of rho, spins split as (before lo, lo, between, hi, after hi), so no
-    copy of rho is made.
-    """
-    if i == j:
-        raise ValueError(f"need two distinct spins, got ({i}, {j})")
-    lo, hi = min(i, j), max(i, j)
-    a, b, c = 2**lo, 2 ** (hi - lo - 1), 2 ** (n - hi - 1)
-    t = rho.reshape(a, 2, b, 2, c, a, 2, b, 2, c)
-    out = np.einsum("xiyjzxkylz->ijkl", t)
-    if i > j:
-        out = out.transpose(1, 0, 3, 2)
-    out = out.reshape(4, 4)
-    return 0.5 * (out + out.conj().T)
-
-
 def all_pair_rdms(rho: np.ndarray, n: int) -> dict[tuple[int, int], np.ndarray]:
     rdms = {}
     for i in range(n):
@@ -242,15 +225,16 @@ def all_pair_rdms(rho: np.ndarray, n: int) -> dict[tuple[int, int], np.ndarray]:
     return rdms
 
 
-def _round(rho: np.ndarray, plus: list, minus: list, e: float,
+def _round(rho: np.ndarray, left: tuple, right: tuple, e: float,
            leak: tuple[float, float]) -> np.ndarray:
-    """One round, unnormalized, as two left and two right applications of
-    the fused factors of U'+ = (kron plus) and U'- = (kron minus):
-    X+ U'+^dag + X- U'-^dag with X+- = e (A + B) + leak+- (A or B), A and B
-    being U'+ rho and U'- rho (module docstring). At e = 1 both X are
-    A + B and the round is V rho V^dag."""
-    a = apply_left(plus, rho)
-    b = apply_left(minus, rho)
+    """One round, unnormalized, as four transposing applications (apply_t)
+    of the fused factors: A^T and B^T from left = (plus, minus), the
+    factors of U'+ and U'-, on rho; then X+ U'+^dag + X- U'-^dag from
+    right, the conjugated factors, on X+-^T, with X+- = e (A + B) +
+    leak+- (A or B) (module docstring). At e = 1 both X are A + B and the
+    round is V rho V^dag."""
+    a = apply_t(left[0], rho)
+    b = apply_t(left[1], rho)
     if e == 1.0:
         a += b
         b = a
@@ -262,9 +246,9 @@ def _round(rho: np.ndarray, plus: list, minus: list, e: float,
         b *= leak[1]
         b += x
         del x
-    out = apply_right(a, plus)
+    out = apply_t(right[0], a)
     del a
-    out += apply_right(b, minus)
+    out += apply_t(right[1], b)
     return out
 
 
@@ -280,7 +264,8 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     so rounds only divide; the returned state is made exactly Hermitian.
     """
     require_dense_memory(c.n_spins)
-    plus, minus = build_branch_operators(c, cfg.tau, cfg.alpha, cfg.beta)
+    left = build_branch_operators(c, cfg.tau, cfg.alpha, cfg.beta)
+    right = tuple([f.conj() for f in factors] for factors in left)
     e = np.exp(-cfg.dephasing_rate * cfg.effective_readout_time)
     # s/|alpha|^2 and s/|beta|^2; a branch of weight 0 has zero factors
     s = 0.5 * (1.0 - e)
@@ -290,7 +275,7 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     del rho0                             # frees a caller's temporary start
     cond, purs, extinct_step = [], [], None
     for step in range(1, cfg.measurements + 1):
-        out = _round(rho, plus, minus, e, leak)
+        out = _round(rho, left, right, e, leak)
         p = float(np.real(np.trace(out)))
         if not p >= cfg.extinction_floor:
             extinct_step = step

@@ -5,12 +5,15 @@ complex array, spin 0 the most significant bit of the row index as in the
 dense engine. One round maps every column psi to |alpha|^2 U+ psi +
 |beta|^2 U- psi without forming U+- or V: the spins are cut into the
 fewest runs of at most FUSE consecutive spins, of balanced sizes, and
-each run is fused into one Kronecker factor, applied as one matmul on a
-reshaped view (Hams & De Raedt, PRE 62, 4365 (2000)); the weights ride
-on the first factor. build_branch_operators builds them for every
-engine; with bounds [0, N] they are the weighted dense U+- build_V sums. The
-dense engine's rho rounds use the same kernel, from the left (apply_left)
-and from the right (apply_right).
+each run is fused into one Kronecker factor (Hams & De Raedt, PRE 62,
+4365 (2000)); the weights ride on the first factor.
+build_branch_operators builds them for every engine; with bounds [0, N]
+they are the weighted dense U+- build_V sums. apply_t is the one kernel:
+each factor is one 2-D gemm that contracts the leading run of spins and
+moves its new index to the back, so it returns the product transposed.
+A round on the block and the dense engine's rho rounds both use it.
+Pair RDMs come from the union of at most two runs: one copy and one gemm
+reduce the block to those spins, and every pair inside is read from that.
 The block is never renormalized, so its mean squared column norm after m
 rounds is the cumulative success probability P_m, free of cancellation,
 and a round's conditional p is the ratio of two consecutive ones. Memory
@@ -37,9 +40,11 @@ if TYPE_CHECKING:
 FUSE = 5
 
 # block-sized complex arrays alive at the engine's peak: the block, the
-# round's sum and the input and output of one factor's matmul. Peaks read
-# with tracemalloc at N=16, r = 1 and 16: 4.0 blocks in a round, 2.0 in a
-# pair RDM, plus under 1 MB that does not grow with the block.
+# round's sum and the input and output of one factor's gemm. A pair RDM
+# holds three (the block, its reordered copy and that copy's conjugate)
+# plus the reduced state of at most 2 FUSE spins, at most 16 MiB. Peaks
+# read with tracemalloc at N=16: 4.00 blocks at r = 16 and 4.06 at r = 1,
+# where the reduced state of 8 spins is itself one block.
 BLOCKS = 4
 
 
@@ -68,27 +73,14 @@ def build_branch_operators(c: CouplingSet, tau: float, alpha: complex,
     return tuple(out)
 
 
-def apply_left(factors: list, state: np.ndarray) -> np.ndarray:
-    """(kron of factors) @ state, one matmul per factor on a reshaped view."""
-    lead = 1
+def apply_t(factors: list, z: np.ndarray) -> np.ndarray:
+    """((kron of factors) @ z)^T for a 2-D z, one 2-D gemm per factor:
+    each contracts the leading run of spins and moves its new index to the
+    back, so after the last factor z's columns lead."""
+    s = z
     for f in factors:
-        view = state.reshape(lead, len(f), -1)
-        state = np.matmul(f, view).reshape(state.shape)
-        lead *= len(f)
-    return state
-
-
-def apply_right(state: np.ndarray, factors: list) -> np.ndarray:
-    """state @ (kron of factors)^dag. The row index joins matmul's batch
-    axis with the column bits before each factor; the trailing factor
-    is one 2-D gemm."""
-    lead = state.shape[0]
-    for f in factors[:-1]:
-        view = state.reshape(lead, len(f), -1)
-        state = np.matmul(f.conj(), view).reshape(state.shape)
-        lead *= len(f)
-    last = factors[-1]
-    return (state.reshape(-1, len(last)) @ last.conj().T).reshape(state.shape)
+        s = s.reshape(len(f), -1).T @ f.T
+    return s.reshape(z.shape[::-1])
 
 
 def extend(state: np.ndarray, plus: list, minus: list) -> np.ndarray:
@@ -98,9 +90,9 @@ def extend(state: np.ndarray, plus: list, minus: list) -> np.ndarray:
     if dim != state.shape[0] or math.prod(len(f) for f in minus) != dim:
         raise ValueError(f"factors of dimension {dim} for a block of "
                          f"{state.shape[0]} rows")
-    out = apply_left(plus, state)
-    out += apply_left(minus, state)
-    return out
+    out = apply_t(plus, state)
+    out += apply_t(minus, state)
+    return np.ascontiguousarray(out.T)
 
 
 def success_probability(state: np.ndarray) -> float:
@@ -108,26 +100,76 @@ def success_probability(state: np.ndarray) -> float:
     return float(np.vdot(state, state).real / state.shape[1])
 
 
-def reduced_density_matrix(state: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Normalized two-spin RDM of (i, j), summed over the block's columns."""
-    num, norm = _rdm_unnormalized(state, i, j)
-    if norm <= 0:
-        raise ValueError("block has zero norm, no conditional state exists")
-    rho = num / norm
-    return 0.5 * (rho + rho.conj().T)
+def pair_rdm(rho: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    """Two-spin reduced density matrix of spins (i, j), basis order (i, j).
 
-
-def _rdm_unnormalized(state: np.ndarray, i: int, j: int) -> tuple[np.ndarray, float]:
-    """(sum over columns of Tr_rest |psi><psi| in basis order (i, j), its
-    trace); one copy moves the two spins to the front as contiguous rows."""
+    The trace over the other spins is an einsum diagonal on a 10-axis view
+    of rho, spins split as (before lo, lo, between, hi, after hi), so no
+    copy of rho is made.
+    """
     if i == j:
         raise ValueError(f"need two distinct spins, got ({i}, {j})")
     lo, hi = min(i, j), max(i, j)
-    t = state.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, -1)
-    rows = np.ascontiguousarray(t.transpose(1, 3, 0, 2, 4)).reshape(4, -1)
-    rho = np.array([[np.vdot(b, a) for b in rows] for a in rows])
+    a, b, c = 2**lo, 2 ** (hi - lo - 1), 2 ** (n - hi - 1)
+    t = rho.reshape(a, 2, b, 2, c, a, 2, b, 2, c)
+    out = np.einsum("xiyjzxkylz->ijkl", t)
     if i > j:
-        rho = rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+        out = out.transpose(1, 0, 3, 2)
+    out = out.reshape(4, 4)
+    return 0.5 * (out + out.conj().T)
+
+
+def pair_rdms(state: np.ndarray, pairs) -> dict[tuple[int, int], np.ndarray]:
+    """Normalized two-spin RDMs of the (i, j) pairs, basis order (i, j),
+    summed over the block's columns.
+
+    Every pair lies in the union of at most two balanced_bounds runs, at
+    most 2 FUSE spins. The pairs are grouped by that union; each group's
+    spins are reduced in one _rdm_unnormalized call and every pair of the
+    group is read from that reduced state by pair_rdm.
+    """
+    pairs, n = list(pairs), state.shape[0].bit_length() - 1
+    bounds = balanced_bounds(n)
+    run = np.searchsorted(bounds, np.arange(n), side="right") - 1
+    last = max(len(bounds) - 3, 0)     # first of the last two runs
+    groups = {}
+    for i, j in pairs:
+        if i == j:
+            raise ValueError(f"need two distinct spins, got ({i}, {j})")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"spins ({i}, {j}) outside a block of {n} spins")
+        a, b = sorted((run[i], run[j]))
+        if a == b:                      # one run: share a union with the next
+            a = min(a, last)
+            b = a + 1
+        groups.setdefault((a, b), []).append((i, j))
+    out = {}
+    for group in groups.values():
+        spins = sorted({s for pair in group for s in pair})
+        num, norm = _rdm_unnormalized(state, spins)
+        if norm <= 0:
+            raise ValueError("block has zero norm, no conditional state exists")
+        num /= norm
+        for i, j in group:
+            out[(i, j)] = pair_rdm(num, len(spins), spins.index(i), spins.index(j))
+        del num                         # the next group's copies take its place
+    return {p: out[p] for p in pairs}
+
+
+def reduced_density_matrix(state: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Normalized two-spin RDM of (i, j), summed over the block's columns."""
+    return pair_rdms(state, [(i, j)])[(i, j)]
+
+
+def _rdm_unnormalized(state: np.ndarray, spins: list) -> tuple[np.ndarray, float]:
+    """(sum over columns of Tr_rest |psi><psi| on the sorted spins, its
+    trace): one copy moves those spins to the front as rows, and one gemm
+    of the rows with their adjoint contracts everything else."""
+    n = state.shape[0].bit_length() - 1
+    rest = [k for k in range(n + 1) if k not in spins]
+    t = state.reshape((2,) * n + (-1,)).transpose(list(spins) + rest)
+    rows = np.ascontiguousarray(t).reshape(2 ** len(spins), -1)
+    rho = rows @ rows.conj().T
     return rho, float(np.trace(rho).real)
 
 
@@ -221,7 +263,7 @@ def mixed_state_monte_carlo(c: CouplingSet, cfg: ProtocolConfig, samples: int,
     state, cum = _propagate(states, cfg, c)
     return MonteCarloResult(
         success_probability=cum, samples=samples,
-        pair_rdms={p: reduced_density_matrix(state, *p) for p in pair_list or ()},
+        pair_rdms=pair_rdms(state, pair_list or ()),
         purity_estimate=_purity_from_samples(state, purity_pair_budget))
 
 

@@ -62,8 +62,8 @@ class CouplingSet:
 
     def __post_init__(self):
         g = np.atleast_2d(np.asarray(self.g_vectors, dtype=float))
-        if g.ndim != 2 or g.shape[1] != 3:
-            raise ValueError(f"g_vectors must be (N, 3), got shape {g.shape}")
+        if g.ndim != 2 or g.shape[1] != 3 or g.shape[0] < 1:
+            raise ValueError(f"g_vectors must be (N, 3) with N >= 1, got shape {g.shape}")
         if not (np.all(np.isfinite(g)) and np.isfinite(self.omega)):
             raise ValueError("couplings and omega must be finite")
         object.__setattr__(self, "g_vectors", g)

@@ -16,12 +16,13 @@ from pairbath.dynamics_dense import (
 from pairbath.dynamics_factored import (
     _haar_product,
     _zbasis_product,
-    apply_left,
-    apply_right,
+    _rdm_unnormalized,
+    apply_t,
     balanced_bounds,
     build_branch_operators,
     extend,
     mixed_state_monte_carlo,
+    pair_rdms,
     reduced_density_matrix,
     run_factored,
     success_probability,
@@ -79,8 +80,10 @@ def test_balanced_bounds():
 
 
 def test_fused_application_matches_dense():
-    # N = 7 from the left and from the right, with runs of spins cut after
-    # 1, 3, 5 and 7 spins, one spin per factor, one factor, and balanced
+    # N = 7 from the left (apply_t transposed back) and from the right
+    # (apply_t of the conjugated factors on the transposed rows), with runs
+    # of spins cut after 1, 3, 5 and 7 spins, one spin per factor, one
+    # factor, and balanced
     rng = np.random.default_rng(38)
     n = 7
     block = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
@@ -92,10 +95,10 @@ def test_fused_application_matches_dense():
         for factors, op in zip(build_branch_operators(c, 0.45, 0.6, 0.8j, bounds),
                                dense):
             want = op @ block
-            got = apply_left(factors, block)
+            got = apply_t(factors, block).T
             assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
             want = rows @ op.conj().T
-            got = apply_right(rows, factors)
+            got = apply_t([f.conj() for f in factors], rows.T)
             assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
     got = extend(block, *build_branch_operators(c, 0.45, 0.6, 0.8j))
     assert np.abs(got - (dense[0] + dense[1]) @ block).max() < 1e-12
@@ -158,6 +161,35 @@ def test_rdm_before_any_round_is_product():
         reduced_density_matrix(state, 1, 1)
     with pytest.raises(ValueError, match="zero norm"):
         reduced_density_matrix(np.zeros_like(state), 0, 1)
+
+
+def test_pair_rdms_from_run_unions_match_dense(monkeypatch):
+    # N = 11 is cut 3+4+4: all 55 pairs come from the 3 unions of two runs,
+    # a reversed pair and one inside a run included
+    import pairbath.dynamics_factored as df
+    rng = np.random.default_rng(42)
+    n = 11
+    assert balanced_bounds(n) == [0, 3, 7, 11]
+    state = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+    rho = state @ state.conj().T
+    rho /= np.trace(rho).real
+    calls = []
+
+    def counted(block, spins):
+        calls.append(list(spins))
+        return _rdm_unnormalized(block, spins)
+    monkeypatch.setattr(df, "_rdm_unnormalized", counted)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    got = pair_rdms(state, pairs)
+    assert len(calls) == 3 and max(len(s) for s in calls) == 8
+    assert list(got) == pairs
+    for p in pairs:
+        assert np.abs(got[p] - pair_rdm(rho, n, *p)).max() < 1e-12
+    for i, j in ((9, 2), (4, 6)):      # reversed; inside the run 3..6
+        got = reduced_density_matrix(state, i, j)
+        assert np.abs(got - pair_rdm(rho, n, i, j)).max() < 1e-12
+    with pytest.raises(ValueError, match="outside a block of 11 spins"):
+        pair_rdms(state, [(0, 11)])
 
 
 def test_cumulative_probability_exact_when_small():

@@ -30,9 +30,40 @@ if missing:
     sys.exit("no spans for " + ", ".join(missing))
 """
 
+# the montecarlo engine itself, not a probe, must give the factored spans
+ENGINE_SCRIPT = """
+import sys
+sys.path[:0] = [{bench!r}, {src!r}]
+import layers
+import workloads as W
+from tracing import Tracer
+from pairbath import dynamics_dense as dd, dynamics_factored as df
+
+tracer = Tracer()
+tracer.install()
+c, tau = W.auto_bath(W.CHAIN6)
+cfg = dd.ProtocolConfig(omega=c.omega, tau=tau, measurements=2)
+n = c.n_spins
+df.mixed_state_monte_carlo(c, cfg, samples=4, seed=0, pair_list=[
+    (i, j) for i in range(n) for j in range(i + 1, n)])
+wanted = ("factored.extend_s", "factored.rdm_s")
+missing = [m for m in wanted if not layers.durations(tracer.spans, m)]
+if missing:
+    sys.exit("no spans for " + ", ".join(missing))
+"""
+
+
+def _run(script: str) -> subprocess.CompletedProcess:
+    script = script.format(bench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+
 
 def test_perfbench_probes_reach_every_span_metric():
-    script = SCRIPT.format(bench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120)
+    done = _run(SCRIPT)
+    assert done.returncode == 0, done.stderr
+
+
+def test_perfbench_spans_come_from_the_montecarlo_engine():
+    done = _run(ENGINE_SCRIPT)
     assert done.returncode == 0, done.stderr

@@ -179,5 +179,8 @@ def test_optimal_params_all_zero_rejected():
 def test_coupling_set_validation():
     with pytest.raises(ValueError, match="N, 3"):
         CouplingSet(np.zeros((2, 4)), 0.0)
+    # an empty bath is rejected here, not as an engine's unrelated error
+    with pytest.raises(ValueError, match="N >= 1"):
+        CouplingSet(np.zeros((0, 3)), 0.0)
     with pytest.raises(ValueError, match="finite"):
         CouplingSet(np.array([[np.inf, 0, 0]]), 0.0)
