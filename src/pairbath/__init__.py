@@ -1,6 +1,6 @@
 """Measurement-conditioned purification and singlet pairing of spin baths."""
 
-from .errors import CapacityError, ConfigError, ExtinctionError
+from .errors import CapacityError, ConfigError
 from .spin_core import (
     CouplingSet,
     SpinGeometry,

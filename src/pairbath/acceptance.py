@@ -209,7 +209,7 @@ def criterion_3() -> tuple[bool, str]:
     traj = _purification_run()
     crossed = np.nonzero(traj.purity > 0.9)[0]
     min_tail = float(traj.conditional_p[-10:].min())
-    ok = (traj.status == "completed" and crossed.size > 0 and min_tail > 0.99)
+    ok = (traj.steps == 100 and crossed.size > 0 and min_tail > 0.99)
     first = int(crossed[0]) + 1 if crossed.size else -1
     return ok, (f"purity {traj.purity[-1]:.4f}, above 0.9 from step {first}; "
                 f"min conditional p over the last 10 steps {min_tail:.4f}")

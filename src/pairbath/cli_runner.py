@@ -10,8 +10,9 @@ sense     spectroscopy + coherence comparison -> spectroscopy.csv,
 selftest  acceptance criteria, one PASS/FAIL line each
 
 Exit codes: 0 success, 2 configuration error, 3 trajectory extinction
-(a step's conditional probability fell below the extinction floor, for
-every engine), 4 memory estimate exceeded.
+(the run kept fewer steps than it asked for: every engine stops before
+the first step whose conditional probability is below the extinction
+floor), 4 memory estimate exceeded.
 
 Tables are comma separated with a single header line, rows in a fixed
 deterministic order, and floats printed with 15 significant digits, so a
@@ -47,7 +48,7 @@ from .dynamics_factored import (
     pair_rdms,
     run_factored,
 )
-from .errors import CapacityError, ConfigError, ExtinctionError
+from .errors import CapacityError, ConfigError
 from .protocols import (
     FLIP_THRESHOLD,
     PREPARATIONS,
@@ -571,19 +572,15 @@ def _scan_point(args):
     """
     g_rows, omega, tau, measurements = args
     c = CouplingSet(np.asarray(g_rows, dtype=float), omega)
-    cfg = ProtocolConfig(omega=omega, tau=tau, measurements=measurements)
-    try:
-        rho, cum = final_state_by_squaring(build_V(c, tau), measurements,
-                                           cfg.extinction_floor)
-    except ExtinctionError:
-        # step once the handler is left: until then the exception's
-        # traceback keeps the squaring's V and W alive
-        rho = None
-    if rho is not None:
+    squared = final_state_by_squaring(build_V(c, tau), measurements)
+    if squared is not None:
+        rho, cum = squared
         pur, status = purity(rho), "completed"
     else:
+        cfg = ProtocolConfig(omega=omega, tau=tau, measurements=measurements)
         traj = run_protocol(maximally_mixed(c.n_spins), cfg, c)
-        rho, status = traj.final_rho, traj.status
+        rho = traj.final_rho
+        status = "completed" if traj.steps == measurements else "extinct"
         cum = float(traj.cumulative_p[-1]) if traj.steps else float("nan")
         pur = float(traj.purity[-1]) if traj.steps else purity(traj.final_rho)
     asg = detect_pairing(all_pair_rdms(rho, c.n_spins), c.n_spins)

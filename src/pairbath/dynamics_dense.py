@@ -41,7 +41,8 @@ continue on a low-rank block costs more than the rounds it would save.
 Without dephasing the final state from the maximally mixed start also
 needs only W = V^M: rho_M = W W^dag / Tr[W W^dag], with the cumulative
 probability P_M = Tr[W W^dag] / d. final_state_by_squaring builds W by
-repeated squaring, in O(log M) products instead of M sandwiches.
+repeated squaring, in O(log M) plain products instead of M sandwiches,
+and returns None when P_M is below EXTINCTION_FLOOR.
 """
 
 from __future__ import annotations
@@ -51,11 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics_factored import apply_t, build_branch_operators, pair_rdm
-from .errors import ConfigError, ExtinctionError, require_memory
+from .dynamics_factored import (EXTINCTION_FLOOR, apply_t, build_branch_operators,
+                                pair_rdm)
+from .errors import ConfigError, require_memory
 from .spin_core import CouplingSet
-
-EXTINCTION_FLOOR = 1e-14
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -79,7 +79,6 @@ class ProtocolConfig:
     beta: complex = INV_SQRT2
     dephasing_rate: float = 0.0
     readout_time: float | None = None  # None: dephasing acts over tau
-    extinction_floor: float = EXTINCTION_FLOOR
 
     def __post_init__(self):
         if self.measurements < 1:
@@ -87,8 +86,13 @@ class ProtocolConfig:
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise ConfigError(f"|alpha|^2 + |beta|^2 = {norm!r}, must be 1")
-        if self.dephasing_rate < 0:
-            raise ConfigError(f"dephasing_rate must be >= 0, got {self.dephasing_rate}")
+        if not (math.isfinite(self.dephasing_rate) and self.dephasing_rate >= 0):
+            raise ConfigError(f"dephasing_rate must be finite and >= 0, "
+                              f"got {self.dephasing_rate}")
+        if self.readout_time is not None and not (
+                math.isfinite(self.readout_time) and self.readout_time > 0):
+            raise ConfigError(f"readout_time must be finite and > 0, "
+                              f"got {self.readout_time}")
 
     @property
     def effective_readout_time(self) -> float:
@@ -97,14 +101,14 @@ class ProtocolConfig:
 
 @dataclass
 class Trajectory:
-    """Per-step record of a conditional run plus the final bath state."""
+    """Per-step record of the kept rounds of a conditional run plus the
+    final bath state; fewer steps than the run asked for mean it went
+    extinct."""
 
     conditional_p: np.ndarray
     cumulative_p: np.ndarray
     purity: np.ndarray
     final_rho: np.ndarray
-    status: str = "completed"          # "completed" | "extinct"
-    extinct_step: int | None = None
 
     @property
     def steps(self) -> int:
@@ -145,20 +149,16 @@ def build_V(c: CouplingSet, tau: float, alpha: complex = INV_SQRT2,
     return plus[0] + minus[0]
 
 
-def apply_projection(rho: np.ndarray, V: np.ndarray,
-                     floor: float = EXTINCTION_FLOOR) -> tuple[np.ndarray, float]:
-    """One conditional update: (V rho V^dag / p, p). Raises on extinction."""
-    out, p = _renormalize(V @ rho @ V.conj().T, floor)
-    return _hermitize(out), p
-
-
-def _renormalize(out: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
-    """(out / p, p) with p = Tr out; raises ExtinctionError if p < floor."""
+def apply_projection(rho: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, float]:
+    """One conditional update: (V rho V^dag / p, p). Raises ValueError at
+    p = 0, where no conditional state exists; the extinction floor is the
+    caller's to apply."""
+    out = V @ rho @ V.conj().T
     p = float(np.real(np.trace(out)))
-    if p < floor:
-        raise ExtinctionError(probability=p)
+    if not p > 0:
+        raise ValueError(f"conditional probability {p}, no conditional state exists")
     out /= p
-    return out, p
+    return _hermitize(out), p
 
 
 def _hermitize(out: np.ndarray) -> np.ndarray:
@@ -170,51 +170,39 @@ def _hermitize(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def final_state_by_squaring(V: np.ndarray, measurements: int,
-                            floor: float = EXTINCTION_FLOOR) -> tuple[np.ndarray, float]:
-    """(rho_M, P_M) after M undephased rounds from I/d, by squaring W = V^M.
+def final_state_by_squaring(V: np.ndarray,
+                            measurements: int) -> tuple[np.ndarray, float] | None:
+    """(rho_M, P_M) after M undephased rounds from I/d, by squaring W = V^M,
+    or None when P_M = Tr[W W^dag] / d is below EXTINCTION_FLOOR (V = 0
+    included), where only stepping (run_protocol) can tell whether and
+    where a round went extinct.
 
-    Each product of the binary powering is divided by its Frobenius norm
-    and the log of that norm is accumulated, so W never underflows. Then
-    P_M = Tr[W W^dag] / d exp(2 logscale). Every conditional p of the
-    rounds satisfies p_k = P_k / P_(k-1) >= P_M, so when P_M >= floor no
-    round is extinct and the result is that of stepping. Otherwise this
-    raises ExtinctionError with P_M, and only stepping (run_protocol) can
-    tell whether and where a round went extinct.
+    Every conditional p of the rounds satisfies p_k = P_k / P_(k-1) >= P_M,
+    so at P_M >= EXTINCTION_FLOOR no round is extinct and the result is
+    that of stepping. The products need no rescaling: ||V||_2 <= |alpha|^2
+    + |beta|^2 = 1, so no power overflows, and every power and partial
+    product is a factor of W, so its squared Frobenius norm is at least
+    d P_M: none underflows wherever the result is returned.
     """
     if measurements < 1:
         raise ConfigError(f"measurements must be >= 1, got {measurements}")
-
-    def rescaled(a: np.ndarray) -> tuple[np.ndarray, float]:
-        s = float(np.linalg.norm(a))
-        if s == 0.0:
-            raise ExtinctionError(probability=0.0)
-        a /= s
-        return a, math.log(s)
-
-    power, log_power = V, 0.0          # V^(2^k) / exp(log_power)
-    w = log_w = None                   # product of the powers of M's set bits
-    m = measurements
+    power, w, m = V, None, measurements   # V^(2^k); product of M's set bits
     while True:
         if m & 1:
-            if w is None:
-                w, log_w = power, log_power
-            else:
-                w, s = rescaled(w @ power)
-                log_w += log_power + s
+            w = power if w is None else w @ power
         m >>= 1
         if not m:
             break
-        power, s = rescaled(power @ power)
-        log_power = 2.0 * log_power + s
+        power = power @ power
     del power                          # the product's temporaries take its place
 
     out = w @ w.conj().T               # d times W (I/d) W^dag
-    p = float(np.real(np.trace(out))) / len(w) * math.exp(2.0 * log_w)
-    if not p >= floor:
-        raise ExtinctionError(probability=p)
-    rho, _ = _renormalize(out, 0.0)    # the floor is on P_M, tested above
-    return _hermitize(rho), p
+    trace = float(np.real(np.trace(out)))
+    p = trace / len(w)
+    if not p >= EXTINCTION_FLOOR:
+        return None
+    out /= trace
+    return _hermitize(out), p
 
 
 def all_pair_rdms(rho: np.ndarray, n: int) -> dict[tuple[int, int], np.ndarray]:
@@ -258,10 +246,11 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     Each round applies the reduced evolve/dephase/project map of the module
     docstring matrix free on the fused factors (_round), then divides by
     its p; with dephasing off that map is rho <- V rho V^dag / p. A round
-    whose p is below cfg.extinction_floor ends the trajectory before it,
-    with status "extinct". The kernel keeps rho Hermitian to rounding
-    (|rho - rho^dag| <= 2.3e-17 over the N=10 dimer chain's 100 rounds),
-    so rounds only divide; the returned state is made exactly Hermitian.
+    whose p is below EXTINCTION_FLOOR ends the trajectory before it, which
+    then has fewer than cfg.measurements steps. The kernel keeps rho
+    Hermitian to rounding (|rho - rho^dag| <= 2.3e-17 over the N=10 dimer
+    chain's 100 rounds), so rounds only divide; the returned state is made
+    exactly Hermitian.
     """
     require_dense_memory(c.n_spins)
     left = build_branch_operators(c, cfg.tau, cfg.alpha, cfg.beta)
@@ -273,12 +262,11 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
                  for w in (abs(cfg.alpha) ** 2, abs(cfg.beta) ** 2))
     rho = np.array(rho0, dtype=complex)  # a copy: _hermitize writes in place
     del rho0                             # frees a caller's temporary start
-    cond, purs, extinct_step = [], [], None
-    for step in range(1, cfg.measurements + 1):
+    cond, purs = [], []
+    for _ in range(cfg.measurements):
         out = _round(rho, left, right, e, leak)
         p = float(np.real(np.trace(out)))
-        if not p >= cfg.extinction_floor:
-            extinct_step = step
+        if not p >= EXTINCTION_FLOOR:
             break
         out /= p
         rho = out
@@ -289,6 +277,4 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
         cumulative_p=np.cumprod(cond),
         purity=np.array(purs),
         final_rho=_hermitize(rho),
-        status="completed" if extinct_step is None else "extinct",
-        extinct_step=extinct_step,
     )

@@ -39,6 +39,10 @@ if TYPE_CHECKING:
 # spins per Kronecker factor at most, so a factor is at most 32 x 32
 FUSE = 5
 
+# every engine stops before the first round whose conditional p is below
+# this, so a run is extinct exactly when it kept fewer rounds than it asked
+EXTINCTION_FLOOR = 1e-14
+
 # block-sized complex arrays alive at the engine's peak: the block, the
 # round's sum and the input and output of one factor's gemm. A pair RDM
 # holds three (the block, its reordered copy and that copy's conjugate)
@@ -176,8 +180,9 @@ def _rdm_unnormalized(state: np.ndarray, spins: list) -> tuple[np.ndarray, float
 def _propagate(states: np.ndarray, cfg: ProtocolConfig,
                c: CouplingSet) -> tuple[np.ndarray, np.ndarray]:
     """Rounds on the block of the products of the (N, 2, r) unit vectors
-    states, up to before the first round whose conditional p is below the
-    floor: (block after the last kept round, cumulative p of each)."""
+    states, up to before the first round whose conditional p is below
+    EXTINCTION_FLOOR: (block after the last kept round, cumulative p of
+    each)."""
     if cfg.dephasing_rate > 0:
         raise ConfigError(
             f"dephasing_rate {cfg.dephasing_rate!r}: the factored and montecarlo "
@@ -193,7 +198,7 @@ def _propagate(states: np.ndarray, cfg: ProtocolConfig,
     for _ in range(cfg.measurements):
         nxt = extend(state, plus, minus)
         p = success_probability(nxt)
-        if not p / prev >= cfg.extinction_floor:
+        if not p / prev >= EXTINCTION_FLOOR:
             break
         state, prev = nxt, p
         cum.append(p)

@@ -1,27 +1,16 @@
 """Shared error types, mapped to CLI exit codes by cli_runner, and the
-memory check every engine runs before it allocates."""
+memory check every engine runs before it allocates.
+
+An extinct run is not an error: every engine stops before the first round
+whose conditional probability is below the extinction floor, and reports
+the rounds it kept; cmd_run exits 3 when they are fewer than it asked for.
+"""
 
 import os
 
 
 class ConfigError(ValueError):
     """Invalid configuration or parameter set. Exit code 2."""
-
-
-class ExtinctionError(RuntimeError):
-    """A dense conditional round's probability fell below the extinction floor.
-
-    apply_projection raises it; run_protocol ends the trajectory before such
-    a round with status "extinct", and the CLI exits 3 on it, whatever the engine.
-    final_state_by_squaring raises it when the cumulative probability of
-    all rounds is below the floor, which leaves open whether a single
-    round was.
-    """
-
-    def __init__(self, probability: float):
-        self.probability = probability
-        super().__init__(f"trajectory extinct: probability "
-                         f"{probability:.3e} below floor")
 
 
 class CapacityError(RuntimeError):

@@ -260,6 +260,8 @@ def spectroscopy_scan(species: SpeciesBath, tau_grid, m: int = 16) -> Spectrosco
     """Central-spin transition probability after the m-block CPMG train,
     as a function of the interrogation time tau, for the bath as prepared
     in the species group tags."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     tau_grid = np.asarray(tau_grid, dtype=float)
     steps = _path_operators(*_grid_propagators(species, tau_grid), m)
     a1, a0 = deque(steps, maxlen=1).pop()     # holds no step but the last

@@ -130,14 +130,16 @@ def branch_propagators(g_vectors, omega, tau) -> tuple[np.ndarray, np.ndarray]:
     """U+ and U- of every spin at every dwell time.
 
     g_vectors is (n, 3), omega a scalar or one value per spin, tau a scalar
-    or an array of times >= 0. Each result has shape np.shape(tau) + (n, 2, 2):
+    or an array of finite times >= 0. Each result has shape
+    np.shape(tau) + (n, 2, 2):
     U_pm = cos(d_pm tau) 1 + i sin(d_pm tau) (n_hat_pm . sigma) with
     n_pm = omega z_hat +- g_k and d_pm = |n_pm|. A zero field has a zero
     axis, so it gives the identity at any tau, as tau = 0 does for any field.
     """
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError(f"tau must be >= 0, got {tau.min()}")
+    ok = np.isfinite(tau) & (tau >= 0)
+    if not np.all(ok):
+        raise ValueError(f"tau must be finite and >= 0, got {tau[~ok].flat[0]}")
     g = np.asarray(g_vectors, dtype=float).reshape(-1, 3)
     field = np.zeros_like(g)
     field[:, 2] = omega

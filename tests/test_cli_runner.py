@@ -478,14 +478,16 @@ def test_scan_applies_dense_limit_whatever_the_engine(tmp_path, capsys, monkeypa
 
 
 def _stepped_point(g, omega, tau, m):
-    """_scan_point's row computed by stepping every round."""
+    """_scan_point's row computed by stepping every round; the point is
+    extinct when it kept fewer rounds than m."""
     c = CouplingSet(np.asarray(g, dtype=float), omega)
     traj = run_protocol(maximally_mixed(c.n_spins),
                         ProtocolConfig(omega=omega, tau=tau, measurements=m), c)
     asg = detect_pairing(all_pair_rdms(traj.final_rho, c.n_spins), c.n_spins)
     return (traj.purity[-1] if traj.steps else purity(traj.final_rho),
             traj.cumulative_p[-1] if traj.steps else float("nan"),
-            sum(1 for x in asg.matches if x.fidelity > 0.9), traj.status)
+            sum(1 for x in asg.matches if x.fidelity > 0.9),
+            "completed" if traj.steps == m else "extinct")
 
 
 def test_scan_point_falls_back_to_stepping_below_floor():

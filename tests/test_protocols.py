@@ -73,6 +73,18 @@ def test_pulse_sequence_validation():
     for tau_v in (0.0, -0.1):
         with pytest.raises(ValueError, match="tau_v"):
             verification_scan(3.0, 4.0, 10.0, tau_v=tau_v, m_max=3)
+    # a non-finite time used to give a nan curve
+    for tau_v in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            verification_scan(3.0, 4.0, 10.0, tau_v=tau_v, m_max=3)
+
+
+def test_spectroscopy_rejects_empty_train():
+    # m < 1 used to return an all-zero signal
+    bath = SpeciesBath((SpeciesGroup(10.0, [[1.0, 0.0, 0.5]]),))
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            spectroscopy_scan(bath, [0.05, 0.1], m=m)
 
 
 def test_species_group_validation():

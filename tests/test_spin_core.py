@@ -86,7 +86,7 @@ def test_degenerate_inputs_give_identity():
 
 
 def test_negative_tau_rejected():
-    for tau in (-0.1, [0.0, 0.5, -0.2]):
+    for tau in (-0.1, [0.0, 0.5, -0.2], np.nan, np.inf, [0.1, np.nan]):
         with pytest.raises(ValueError, match="tau"):
             branch_propagators(np.array([[1.0, 0, 0]]), 1.0, tau)
 
