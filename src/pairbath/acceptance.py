@@ -334,7 +334,7 @@ def _sensing_baths():
     side = (SpeciesGroup(_SENSE_OMEGA + _SENSE_EPS, np.array(_SIDE_UP), "mixed"),
             SpeciesGroup(_SENSE_OMEGA - _SENSE_EPS, np.array(_SIDE_DOWN), "mixed"))
     paired = SpeciesBath((SpeciesGroup(_SENSE_OMEGA, np.array(_STRONG), "paired"),) + side)
-    mixed = SpeciesBath((SpeciesGroup(_SENSE_OMEGA, np.array(_STRONG), "mixed"),) + side)
+    mixed = paired.retagged("mixed")
     deleted = SpeciesBath(side)
     return paired, mixed, deleted
 

@@ -260,36 +260,37 @@ def _grid(**bounds):
     return parse
 
 
-_KIND = ("kind", _choice("chain", "dimer_chain", "plane", "explicit"), _REQUIRED)
+# kind -> (position builder, None for explicit rows; then its parameters)
 _GEOMETRIES = {
-    "chain": (_KIND,
+    "chain": (chain_geometry,
               ("n", _integer(1), _REQUIRED),
               ("spacing", _number(gt=0), _REQUIRED),
               ("z0", _number(), _REQUIRED),
               ("x0", _number(), 0.0)),
-    "dimer_chain": (_KIND,
+    "dimer_chain": (dimer_chain_geometry,
                     ("n_pairs", _integer(1), _REQUIRED),
                     ("pair_spacing", _number(gt=0), _REQUIRED),
                     ("dimer_gap", _number(gt=0), _REQUIRED),
                     ("z0", _number(), _REQUIRED),
                     ("x0", _number(), 0.0)),
-    "plane": (_KIND,
+    "plane": (plane_geometry,
               ("n", _integer(1), _REQUIRED),
               ("box", _box, _REQUIRED),
               ("z0", _number(), _REQUIRED),
               ("seed", _integer(0), _REQUIRED)),
-    "explicit": (_KIND,
+    "explicit": (None,
                  ("g_vectors", _g_rows, _REQUIRED)),
 }
+_KIND = ("kind", _choice(*_GEOMETRIES), _REQUIRED)
 
 
 def _geometry(v, path, errors):
     """Parser for the geometry section, whose fields depend on its kind."""
     kind = v.get("kind") if isinstance(v, dict) else None
-    table = _GEOMETRIES.get(kind) if isinstance(kind, str) else None
-    if table is None and isinstance(v, dict):
-        v, table = {"kind": kind}, (_KIND,)     # report the kind alone
-    return _walk(v, table or (), path, errors)
+    entry = _GEOMETRIES.get(kind) if isinstance(kind, str) else None
+    if entry is None and isinstance(v, dict):
+        v = {"kind": kind}                      # report the kind alone
+    return _walk(v, (_KIND,) + (entry[1:] if entry else ()), path, errors)
 
 
 _SPECIES = (
@@ -304,10 +305,11 @@ def _species(v, path, errors):
         raise ValueError("must be a nonempty list of species groups")
     groups = [_walk(sp, _SPECIES, f"{path}[{i}]", errors) for i, sp in enumerate(v)]
     for i, grp in enumerate(groups):
-        if (grp and grp.get("preparation") == "paired"
-                and len(grp.get("g_vectors", ())) % 2):
-            errors.append(f"{path}[{i}].g_vectors: paired preparation needs "
-                          f"an even spin count")
+        if grp and len(grp) == len(_SPECIES):   # the group's own spin-count rule
+            try:
+                SpeciesGroup(**grp)
+            except ValueError as exc:
+                errors.append(f"{path}[{i}].g_vectors: {exc}")
     return groups
 
 
@@ -412,20 +414,13 @@ def validate_config(raw: dict, command: str = "run") -> dict:
 # ---------------------------------------------------------------------------
 
 def _bath_vectors(cfg: dict) -> np.ndarray:
-    geom = cfg["geometry"]
-    kind = geom["kind"]
-    if kind == "explicit":
-        return np.asarray(geom["g_vectors"], dtype=float)
+    fields = dict(cfg["geometry"])
+    builder = _GEOMETRIES[fields.pop("kind")][0]
+    if builder is None:
+        return np.asarray(fields["g_vectors"], dtype=float)
     try:
-        if kind == "chain":
-            g = chain_geometry(geom["n"], geom["spacing"], geom["z0"], geom["x0"])
-        elif kind == "dimer_chain":
-            g = dimer_chain_geometry(geom["n_pairs"], geom["pair_spacing"],
-                                     geom["dimer_gap"], geom["z0"], geom["x0"])
-        else:
-            g = plane_geometry(geom["n"], tuple(geom["box"]), geom["z0"],
-                               geom["seed"])
-        return dipolar_couplings(g, cfg["coupling"]["prefactor"]).g_vectors
+        return dipolar_couplings(builder(**fields),
+                                 cfg["coupling"]["prefactor"]).g_vectors
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
 
@@ -673,21 +668,14 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
 # sense
 # ---------------------------------------------------------------------------
 
-def _species_bath(spec: list, retag: str | None = None) -> SpeciesBath:
-    return SpeciesBath(tuple(
-        SpeciesGroup(sp["omega"], np.asarray(sp["g_vectors"], dtype=float),
-                     retag or sp["preparation"])
-        for sp in spec))
-
-
 def cmd_sense(cfg: dict, out_dir: Path) -> int:
     s = cfg["sense"]
     # checked before the grids themselves are built
     time_points = s["time_grid"]["points"] if s["time_grid"] else 0
     require_grid_memory(max(s["tau_grid"]["points"], time_points),
                         sum(len(sp["g_vectors"]) for sp in s["species"]))
-    bath = _species_bath(s["species"])
-    mixed = _species_bath(s["species"], retag="mixed")
+    bath = SpeciesBath(tuple(SpeciesGroup(**sp) for sp in s["species"]))
+    mixed = bath.retagged("mixed")
     tau_grid = _linspace(s["tau_grid"])
     scan = spectroscopy_scan(bath, tau_grid, m=s["m"])
     scan_mixed = spectroscopy_scan(mixed, tau_grid, m=s["m"])

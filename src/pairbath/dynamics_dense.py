@@ -83,9 +83,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.measurements < 1:
             raise ConfigError(f"measurements must be >= 1, got {self.measurements}")
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ConfigError(f"|alpha|^2 + |beta|^2 = {norm!r}, must be 1")
+        _require_unit_norm(self.alpha, self.beta)
         if not (math.isfinite(self.dephasing_rate) and self.dephasing_rate >= 0):
             raise ConfigError(f"dephasing_rate must be finite and >= 0, "
                               f"got {self.dephasing_rate}")
@@ -97,6 +95,18 @@ class ProtocolConfig:
     @property
     def effective_readout_time(self) -> float:
         return self.tau if self.readout_time is None else self.readout_time
+
+    def require_omega_of(self, c: CouplingSet) -> None:
+        """Raise ConfigError unless omega is c.omega, the one engines run at."""
+        if self.omega != c.omega:
+            raise ConfigError(f"omega {self.omega!r} differs from the bath's {c.omega!r}")
+
+
+def _require_unit_norm(alpha: complex, beta: complex) -> None:
+    """Raise ConfigError unless |alpha|^2 + |beta|^2 = 1, a nan norm included."""
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    if not abs(norm - 1.0) <= 1e-12:
+        raise ConfigError(f"|alpha|^2 + |beta|^2 = {norm!r}, must be 1")
 
 
 @dataclass
@@ -141,9 +151,7 @@ def build_V(c: CouplingSet, tau: float, alpha: complex = INV_SQRT2,
     """Conditional operator V = |alpha|^2 U+ + |beta|^2 U-, the one-run case
     of the shared factor builder. Raises CapacityError, before any
     propagator is built, if the dense engine's matrices would not fit."""
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > 1e-12:
-        raise ConfigError(f"|alpha|^2 + |beta|^2 = {norm!r}, must be 1")
+    _require_unit_norm(alpha, beta)
     require_dense_memory(c.n_spins)
     plus, minus = build_branch_operators(c, tau, alpha, beta, [0, c.n_spins])
     return plus[0] + minus[0]
@@ -252,6 +260,7 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     chain's 100 rounds), so rounds only divide; the returned state is made
     exactly Hermitian.
     """
+    cfg.require_omega_of(c)
     require_dense_memory(c.n_spins)
     left = build_branch_operators(c, cfg.tau, cfg.alpha, cfg.beta)
     right = tuple([f.conj() for f in factors] for factors in left)

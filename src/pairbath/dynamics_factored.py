@@ -183,6 +183,7 @@ def _propagate(states: np.ndarray, cfg: ProtocolConfig,
     states, up to before the first round whose conditional p is below
     EXTINCTION_FLOOR: (block after the last kept round, cumulative p of
     each)."""
+    cfg.require_omega_of(c)
     if cfg.dephasing_rate > 0:
         raise ConfigError(
             f"dephasing_rate {cfg.dephasing_rate!r}: the factored and montecarlo "

@@ -18,6 +18,10 @@ spectroscopy scan. Singlet pairs with identical couplings contribute
 det(A1^dag A0) = 1 and are exactly invisible to the probe, which is what
 makes paired baths better sensors.
 
+A bath is a SpeciesBath of groups, each prepared as a tag of one table:
+a one-spin block state (mixed, polarized, unpolarized) or the singlet
+(paired). SpeciesBath.retagged is the one way to re-prepare a bath.
+
 Pulse rotations use the half-angle convention R = cos(theta/2) 1
 - i sin(theta/2) sigma, under which the empty-bath sequence is an exact
 echo (flip probability 0 for every m).
@@ -26,19 +30,27 @@ echo (flip probability 0 for every m).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import phased_singlet
 from .errors import require_memory
-from .spin_core import CouplingSet, branch_propagators
+from .spin_core import branch_propagators
 
 # default flip threshold for m*: sin^2(1 rad), the point where the
 # accumulated conditional rotation reaches unit phase
 FLIP_THRESHOLD = np.sin(1.0) ** 2
 
-PREPARATIONS = ("mixed", "polarized", "paired", "unpolarized")
+_SINGLET = phased_singlet(0.0)
+# preparation tag -> (block state, spins per block); a group is tiled by blocks
+_BLOCK_STATES = {
+    "mixed": (np.eye(2, dtype=complex) / 2, 1),
+    "polarized": (np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex), 1),
+    "paired": (np.outer(_SINGLET, _SINGLET.conj()), 2),
+    "unpolarized": (np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex), 1),
+}
+PREPARATIONS = tuple(_BLOCK_STATES)
 
 
 @dataclass(frozen=True)
@@ -53,10 +65,12 @@ class SpeciesGroup:
         g = np.atleast_2d(np.asarray(self.g_vectors, dtype=float))
         if g.shape[1] != 3:
             raise ValueError(f"g_vectors must be (n, 3), got {g.shape}")
+        if not (np.all(np.isfinite(g)) and np.isfinite(self.omega)):
+            raise ValueError("omega and g_vectors must be finite")
         if self.preparation not in PREPARATIONS:
             raise ValueError(f"unknown preparation {self.preparation!r}")
-        if self.preparation == "paired" and g.shape[0] % 2 != 0:
-            raise ValueError("paired preparation needs an even spin count")
+        if g.shape[0] % _BLOCK_STATES[self.preparation][1] != 0:
+            raise ValueError(f"{self.preparation} preparation needs an even spin count")
         object.__setattr__(self, "g_vectors", g)
 
     @property
@@ -79,14 +93,14 @@ class SpeciesBath:
                 np.concatenate([np.full(grp.n_spins, grp.omega)
                                 for grp in self.groups]))
 
+    def retagged(self, tag: str) -> SpeciesBath:
+        """The same spins with every group prepared as tag."""
+        return SpeciesBath(tuple(replace(grp, preparation=tag) for grp in self.groups))
+
 
 # ---------------------------------------------------------------------------
 # path-operator engine
 # ---------------------------------------------------------------------------
-
-_MIXED2 = np.eye(2, dtype=complex) / 2
-_ZUP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_XPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 # grid + (n, 2, 2) arrays at the recurrence's peak: U+-, X, Y, A1, A0, 2 products
 GRID_ARRAYS = 8
@@ -123,16 +137,11 @@ def _path_operators(up: np.ndarray, um: np.ndarray, m: int):
 
 
 def _blocks_for(group: SpeciesGroup, offset: int) -> list:
-    """(rho, spins) blocks realizing the group's preparation: a one-spin
-    state on (k,) or a pair state on (k, k + 1)."""
-    tag = group.preparation
-    if tag == "paired":
-        sing = phased_singlet(0.0)
-        rho4 = np.outer(sing, sing.conj())
-        return [(rho4, (offset + 2 * p, offset + 2 * p + 1))
-                for p in range(group.n_spins // 2)]
-    rho2 = {"mixed": _MIXED2, "polarized": _ZUP, "unpolarized": _XPLUS}[tag]
-    return [(rho2, (offset + k,)) for k in range(group.n_spins)]
+    """(rho, spins) blocks realizing the group's preparation: its block
+    state on each run of consecutive spins of the block's width."""
+    rho, width = _BLOCK_STATES[group.preparation]
+    return [(rho, tuple(range(k, k + width)))
+            for k in range(offset, offset + group.n_spins, width)]
 
 
 def _bath_blocks(groups) -> list:
@@ -195,8 +204,8 @@ def verification_scan(g1: float, g2: float, omega: float,
     m ~ omega/sqrt(g1^2 + g2^2), so identical couplings leave the singlet
     dark at any m.
     """
-    if omega <= 0:
-        raise ValueError(f"verification needs omega > 0, got {omega}")
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"verification needs a finite omega > 0, got {omega}")
     if tau_v is None:
         tau_v = np.pi / (4.0 * omega)
     if m_max < 1:
@@ -221,28 +230,24 @@ def verification_scan(g1: float, g2: float, omega: float,
 # coherence
 # ---------------------------------------------------------------------------
 
-def coherence_trace(bath_state, c, t_grid) -> np.ndarray:
+def coherence_trace(bath_state, species: SpeciesBath, t_grid) -> np.ndarray:
     """|Tr[U-(t)^dag U+(t) rho_bath]| on the grid; the central spin is
     prepared in (|1> + |-1>)/sqrt(2) and this is its off-diagonal decay
     envelope. L(0) = 1 exactly.
 
     bath_state: a preparation tag from PREPARATIONS applied to every group,
-    or None to use each group's own tag. c: CouplingSet or SpeciesBath.
+    or None to use each group's own tag.
     """
     if bath_state is not None and not isinstance(bath_state, str):
         raise ValueError(f"bath_state must be None or a preparation tag from "
                          f"{PREPARATIONS}, got {type(bath_state).__name__}")
-    if isinstance(c, SpeciesBath):
-        groups = c.groups
-        if bath_state is not None:
-            groups = tuple(SpeciesGroup(grp.omega, grp.g_vectors, bath_state)
-                           for grp in groups)
-    elif bath_state is None:
-        raise ValueError("a CouplingSet carries no preparation, pass a tag")
-    else:
-        groups = (SpeciesGroup(c.omega, c.g_vectors, bath_state),)
-    up, um = _grid_propagators(SpeciesBath(groups), t_grid)
-    return np.abs(_block_overlap(_bath_blocks(groups), _dagger(um) @ up))
+    if not isinstance(species, SpeciesBath):
+        raise ValueError(f"coherence_trace needs a SpeciesBath, got "
+                         f"{type(species).__name__}")
+    if bath_state is not None:
+        species = species.retagged(bath_state)
+    up, um = _grid_propagators(species, t_grid)
+    return np.abs(_block_overlap(_bath_blocks(species.groups), _dagger(um) @ up))
 
 
 # ---------------------------------------------------------------------------

@@ -116,10 +116,6 @@ def dipolar_couplings(geom: SpinGeometry, prefactor: float = 1.0,
     """
     pos = geom.positions
     radii = np.linalg.norm(pos, axis=1)
-    # SpinGeometry already rejects r=0, but guard against near-zero blowups
-    bad = np.nonzero(radii == 0.0)[0]
-    if bad.size:
-        raise ValueError(f"bath spin {bad[0]} has zero radius")
     rhat = pos / radii[:, None]
     cos_t = rhat[:, 2]
     g = (prefactor / radii**3)[:, None] * (3.0 * cos_t[:, None] * rhat - ZHAT)

@@ -6,8 +6,10 @@ from pairbath.analysis import detect_pairing
 from pairbath.dynamics_dense import (ProtocolConfig, all_pair_rdms,
                                      maximally_mixed, purity, run_protocol)
 from pairbath.errors import ConfigError
-from pairbath.spin_core import CouplingSet
+from pairbath.spin_core import (CouplingSet, chain_geometry, dimer_chain_geometry,
+                                dipolar_couplings, plane_geometry)
 from pairbath.cli_runner import (
+    _bath_vectors,
     _fmt,
     _pairs_rows,
     _scan_point,
@@ -118,6 +120,29 @@ def test_validate_amplitudes():
     assert cfg["protocol"]["beta"] == [0.0, 0.8]
     with pytest.raises(ConfigError, match="must be 1"):
         validate_config({**base, "protocol": {"alpha": 0.6, "beta": 0.6}})
+
+
+def test_bath_vectors_match_a_direct_builder_call():
+    # each geometry kind is looked up in one table of builders
+    kinds = {
+        "chain": (dict(CHAIN, x0=3.0), chain_geometry(4, 8.0, 100.0, 3.0)),
+        "dimer_chain": ({"kind": "dimer_chain", "n_pairs": 3, "pair_spacing": 8.0,
+                         "dimer_gap": 1.0, "z0": 100.0, "x0": 60.0},
+                        dimer_chain_geometry(3, 8.0, 1.0, 100.0, 60.0)),
+        "plane": ({"kind": "plane", "n": 5, "box": [-2, 2, -1, 3], "z0": 1.5,
+                   "seed": 7}, plane_geometry(5, (-2.0, 2.0, -1.0, 3.0), 1.5, 7)),
+    }
+    for kind, (geom, direct) in kinds.items():
+        cfg = validate_config({"geometry": geom, "coupling": {"prefactor": 2.5}})
+        got = _bath_vectors(cfg)
+        assert np.array_equal(got, dipolar_couplings(direct, 2.5).g_vectors), kind
+    rows = [[1.2, 0.0, 0.4], [0.0, 0.9, -0.2]]
+    cfg = validate_config({"geometry": {"kind": "explicit", "g_vectors": rows}})
+    assert np.array_equal(_bath_vectors(cfg), np.array(rows))
+    # the kind's choices keep their order
+    with pytest.raises(ConfigError,
+                       match=r"\['chain', 'dimer_chain', 'plane', 'explicit'\]"):
+        validate_config({"geometry": {"kind": "ring"}})
 
 
 def test_run_records_g_eff_unit_conversion(tmp_path):

@@ -84,6 +84,13 @@ def test_config_validation():
         ProtocolConfig(omega=1.0, tau=0.5, measurements=0)
     with pytest.raises(ConfigError, match="alpha"):
         ProtocolConfig(omega=1.0, tau=0.5, measurements=1, alpha=1.0, beta=1.0)
+    # a nan norm passed the old check `abs(norm - 1) > 1e-12`, and the run
+    # then kept 0 rounds, which read as an extinct run
+    for bad in (complex(np.nan), complex(np.nan, 0.5), np.inf, complex(0.5, np.inf)):
+        with pytest.raises(ConfigError, match="alpha"):
+            ProtocolConfig(omega=1.0, tau=0.5, measurements=1, alpha=bad, beta=0.5)
+        with pytest.raises(ConfigError, match="alpha"):
+            ProtocolConfig(omega=1.0, tau=0.5, measurements=1, alpha=0.5, beta=bad)
     for rate in (-0.1, np.nan, np.inf):
         with pytest.raises(ConfigError, match="dephasing_rate"):
             ProtocolConfig(omega=1.0, tau=0.5, measurements=1, dephasing_rate=rate)
@@ -107,6 +114,27 @@ def test_build_V_longitudinal_single_spin():
     c = CouplingSet(np.array([[0.0, 0.0, g]]), 0.0)
     v = build_V(c, tau)
     assert np.abs(v - np.cos(g * tau) * np.eye(2)).max() < 1e-14
+
+
+def test_build_V_rejects_non_unit_amplitudes():
+    # a nan amplitude used to return an all-nan V
+    c = CouplingSet(np.array([[0.3, 0.0, 0.2], [0.1, 0.4, 0.0]]), 1.0)
+    for alpha, beta in ((complex(np.nan), 0.5), (0.5, np.nan), (np.inf, 0.0),
+                        (1.0, 1.0)):
+        with pytest.raises(ConfigError, match="alpha"):
+            build_V(c, 0.3, alpha, beta)
+
+
+def test_run_protocol_rejects_omega_of_another_bath():
+    # no engine reads cfg.omega: a mismatch used to run silently at c.omega
+    c = CouplingSet(np.array([[0.3, 0.0, 0.2], [0.1, 0.4, 0.0]]), 1.0)
+    for omega in (999.0, 1.0 + 1e-9, np.nan):
+        cfg = ProtocolConfig(omega=omega, tau=0.3, measurements=2)
+        with pytest.raises(ConfigError, match="omega"):
+            run_protocol(maximally_mixed(2), cfg, c)
+    # an int omega equal to the bath's is the same omega
+    cfg = ProtocolConfig(omega=1, tau=0.3, measurements=2)
+    assert run_protocol(maximally_mixed(2), cfg, c).steps == 2
 
 
 def test_build_V_beta_zero_is_unitary():

@@ -3,6 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from pairbath.errors import ConfigError
 from pairbath.spin_core import CouplingSet, branch_propagators
 from pairbath.dynamics_dense import (
     ProtocolConfig,
@@ -52,6 +53,16 @@ def test_run_factored_input_checks():
     _, scaled = run_factored([[3.0, 4.0j]], cfg, c)
     _, unit = run_factored([[0.6, 0.8j]], cfg, c)
     assert np.abs(scaled - unit).max() < 1e-15
+
+
+def test_factored_engines_reject_omega_of_another_bath():
+    # no engine reads cfg.omega: a mismatch used to run silently at c.omega
+    c = CouplingSet(np.array([[0.3, -0.2, 0.9], [0.1, 0.4, 0.0]]), 1.1)
+    cfg = ProtocolConfig(omega=999.0, tau=0.4, measurements=2)
+    with pytest.raises(ConfigError, match="omega"):
+        run_factored([[1, 0], [0, 1]], cfg, c)
+    with pytest.raises(ConfigError, match="omega"):
+        mixed_state_monte_carlo(c, cfg, samples=2, seed=0)
 
 
 def test_extend_single_round_weights():

@@ -11,6 +11,7 @@ from pairbath.protocols import (
     PREPARATIONS,
     SpeciesBath,
     SpeciesGroup,
+    _blocks_for,
     coherence_trace,
     find_local_maxima,
     resolves_side_features,
@@ -96,6 +97,11 @@ def test_species_group_validation():
         SpeciesGroup(1.0, np.zeros((3, 3)), "paired")
     with pytest.raises(ValueError, match="at least one"):
         SpeciesBath(())
+    # a non-finite omega or g used to give a nan spectrum and coherence
+    for omega, g in ((np.nan, [[1.0, 0, 0]]), (np.inf, [[1.0, 0, 0]]),
+                     (10.0, [[np.nan, 0, 0]]), (10.0, [[0, np.inf, 0]])):
+        with pytest.raises(ValueError, match="finite"):
+            SpeciesGroup(omega, g)
 
 
 def test_species_bath_flattens_in_group_order():
@@ -195,6 +201,14 @@ def test_verification_defaults_and_validation():
     assert len(res.curve) == 3
     with pytest.raises(ValueError, match="omega"):
         verification_scan(3.0, 4.0, 0.0)
+    # nan gave a nan curve, and inf a misleading "tau_v must be > 0"
+    for omega in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite omega"):
+            verification_scan(3.0, 4.0, omega, tau_v=0.1)
+        with pytest.raises(ValueError, match="finite omega"):
+            verification_scan(3.0, 4.0, omega)
+    with pytest.raises(ValueError, match="finite"):
+        verification_scan(np.nan, 4.0, 10.0)
     with pytest.raises(ValueError, match="preparation"):
         verification_scan(3.0, 4.0, 10.0, preparation="bogus")
 
@@ -248,15 +262,20 @@ def test_verification_paired_alias():
     assert np.array_equal(a.curve, b.curve)
 
 
+def _one_group(g, omega):
+    """A species bath of one mixed group."""
+    return SpeciesBath((SpeciesGroup(omega, g),))
+
+
 def test_coherence_normalized_at_zero_time():
     rng = np.random.default_rng(50)
-    c = CouplingSet(rng.normal(0, 1.0, (3, 3)), 2.0)
-    out = coherence_trace("mixed", c, [0.0, 0.1, 0.2])
+    bath = _one_group(rng.normal(0, 1.0, (3, 3)), 2.0)
+    out = coherence_trace("mixed", bath, [0.0, 0.1, 0.2])
     assert abs(out[0] - 1.0) < 1e-14
     assert np.all(out <= 1 + 1e-12)
     # no coupling: no decay at all
-    c0 = CouplingSet(np.zeros((2, 3)), 5.0)
-    out = coherence_trace("mixed", c0, np.linspace(0, 3, 7))
+    bath0 = _one_group(np.zeros((2, 3)), 5.0)
+    out = coherence_trace("mixed", bath0, np.linspace(0, 3, 7))
     assert np.abs(out - 1.0).max() < 1e-12
 
 
@@ -264,24 +283,24 @@ def test_coherence_single_spin_closed_form():
     # omega=0, g along z, mixed spin: U-^dag U+ = exp(2 i g t sigma_z),
     # so L(t) = |cos(2 g t)|
     g = 0.7
-    c = CouplingSet(np.array([[0.0, 0.0, g]]), 0.0)
+    bath = _one_group(np.array([[0.0, 0.0, g]]), 0.0)
     t = np.linspace(0, 4, 60)
-    out = coherence_trace("mixed", c, t)
+    out = coherence_trace("mixed", bath, t)
     assert np.abs(out - np.abs(np.cos(2 * g * t))).max() < 1e-12
 
 
 def test_coherence_dense_state_matches_tag():
     # dense oracle: |Tr[(kron_k U-^dag U+) rho]| on the joint bath space
     rng = np.random.default_rng(51)
-    c = CouplingSet(rng.normal(0, 1.0, (3, 3)), 1.5)
+    g, omega = rng.normal(0, 1.0, (3, 3)), 1.5
     t = np.linspace(0, 2, 15)
-    by_tag = coherence_trace("mixed", c, t)
+    by_tag = coherence_trace("mixed", _one_group(g, omega), t)
     rho = np.eye(8, dtype=complex) / 8
     by_state = np.empty(len(t))
     for it, tt in enumerate(t):
         op = np.eye(1, dtype=complex)
-        for g in c.g_vectors:
-            u_plus, u_minus = _expm_pair(g, c.omega, tt)
+        for gk in g:
+            u_plus, u_minus = _expm_pair(gk, omega, tt)
             op = np.kron(op, u_minus.conj().T @ u_plus)
         by_state[it] = abs(np.trace(op @ rho))
     assert np.abs(by_tag - by_state).max() < 1e-12
@@ -305,14 +324,57 @@ def test_coherence_group_tags_used_when_state_is_none():
 
 
 def test_coherence_validation():
-    c = CouplingSet(np.array([[1.0, 0, 0]]), 1.0)
-    with pytest.raises(ValueError, match="preparation"):
-        coherence_trace(None, c, [0.0, 0.1])
+    bath = _one_group(np.array([[1.0, 0, 0]]), 1.0)
+    # a CouplingSet carries no preparation: only a SpeciesBath is accepted
+    with pytest.raises(ValueError, match="SpeciesBath"):
+        coherence_trace("mixed", CouplingSet(np.array([[1.0, 0, 0]]), 1.0), [0.0, 0.1])
     # dense states are not accepted, only preparation tags
     with pytest.raises(ValueError, match="None or a preparation tag"):
-        coherence_trace(np.eye(2) / 2, c, [0.0])
+        coherence_trace(np.eye(2) / 2, bath, [0.0])
     with pytest.raises(ValueError, match="preparation"):
-        coherence_trace("thermal", c, [0.0])
+        coherence_trace("thermal", bath, [0.0])
+
+
+def test_retagged_bath_equals_bath_built_with_tag():
+    g = np.array([[0.3, 0.1, -0.2], [0.2, -0.4, 0.1], [0.5, 0.0, 0.2], [0.1, 0.1, 0.1]])
+    bath = SpeciesBath((SpeciesGroup(2.0, g[:2], "polarized"),
+                        SpeciesGroup(1.0, g[2:], "paired")))
+    for tag in PREPARATIONS:
+        got = bath.retagged(tag)
+        want = SpeciesBath((SpeciesGroup(2.0, g[:2], tag), SpeciesGroup(1.0, g[2:], tag)))
+        assert [grp.preparation for grp in got.groups] == [tag, tag]
+        for a, b in zip(got.groups, want.groups):
+            assert a.omega == b.omega and np.array_equal(a.g_vectors, b.g_vectors)
+        t = np.linspace(0, 2, 9)
+        assert np.array_equal(coherence_trace(None, got, t),
+                              coherence_trace(None, want, t))
+        assert np.array_equal(coherence_trace(tag, bath, t),
+                              coherence_trace(None, want, t))
+    # retagging an odd group as paired breaks the even-count rule
+    odd = SpeciesBath((SpeciesGroup(1.0, g[:3]),))
+    with pytest.raises(ValueError, match="even"):
+        odd.retagged("paired")
+
+
+def test_block_states_match_the_preparation_table():
+    # the one-spin states and the singlet outer product, written out here
+    one_spin = {"mixed": np.eye(2, dtype=complex) / 2,
+                "polarized": np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
+                "unpolarized": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)}
+    sing = phased_singlet(0.0)
+    rho4 = np.outer(sing, sing.conj())
+    assert PREPARATIONS == ("mixed", "polarized", "paired", "unpolarized")
+    g = np.zeros((4, 3))
+    for tag in PREPARATIONS:
+        for offset in (0, 3):
+            blocks = _blocks_for(SpeciesGroup(1.0, g, tag), offset)
+            if tag == "paired":
+                want = [(rho4, (offset, offset + 1)), (rho4, (offset + 2, offset + 3))]
+            else:
+                want = [(one_spin[tag], (offset + k,)) for k in range(4)]
+            assert len(blocks) == len(want)
+            for (rho, spins), (rho_w, spins_w) in zip(blocks, want):
+                assert np.array_equal(rho, rho_w) and spins == spins_w
 
 
 def test_paired_identical_couplings_invisible():
