@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics_dense import purity
+from .dynamics_factored import apply_t
 from .spin_core import CouplingSet, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _SYY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -170,13 +172,13 @@ def classical_steady_state_check(rho: np.ndarray, c: CouplingSet,
         raise ValueError(f"state dimension {rho.shape} does not match N={n}")
 
     bases = _spin_eigenbases(c)
-    w = np.eye(1, dtype=complex)
-    for b in bases:
-        w = np.kron(w, b)
-    rho_eig = w.conj().T @ rho @ w
-
-    diag = np.real(np.diagonal(rho_eig))
-    offdiag = float(np.linalg.norm(rho_eig - np.diag(np.diagonal(rho_eig))))
+    left = [b.conj().T for b in bases]
+    # W^dag rho W for W = kron(bases): two passes of the Kronecker kernel
+    rho_eig = apply_t([b.T for b in bases], apply_t(left, rho))
+    diag = rho_eig.diagonal().real.copy()
+    np.fill_diagonal(rho_eig, 0.0)
+    offdiag = float(np.linalg.norm(rho_eig))
+    del rho_eig                      # freed before eigh allocates its vectors
 
     evals, evecs = np.linalg.eigh(rho)
     lead = (float(evals[-1]), float(evals[-2]))
@@ -184,21 +186,15 @@ def classical_steady_state_check(rho: np.ndarray, c: CouplingSet,
 
     # two-branch product structure: in the per-spin eigenbasis every
     # single-spin marginal of a leading eigenvector must be diagonal
-    structure = True
-    for idx in (-1, -2):
-        vec = (w.conj().T @ evecs[:, idx]).reshape((2,) * n)
-        for k in range(n):
-            axes = tuple(a for a in range(n) if a != k)
-            m = np.tensordot(vec, vec.conj(), axes=(axes, axes))
-            if abs(m[0, 1]) > 1e-6:
-                structure = False
+    vecs = apply_t(left, evecs[:, :-3:-1]).reshape((2,) * (n + 1))
+    others = [tuple(a for a in range(n) if a != k) for k in range(n)]
+    structure = not any(abs(np.tensordot(v, v.conj(), axes=(ax, ax))[0, 1]) > 1e-6
+                        for v in vecs for ax in others)
 
-    # magnetization sectors: bit 0 of index = +1 along the local g axis
-    mags = {}
-    for index in range(dim):
-        bits = [(index >> (n - 1 - k)) & 1 for k in range(n)]
-        m_tot = sum(1 if b == 0 else -1 for b in bits)
-        mags[m_tot] = mags.get(m_tot, 0.0) + float(diag[index])
+    # magnetization sectors: bit 0 of index = +1 along the local g axis, so
+    # the sector of k set bits is M = n - 2k, listed from +n down
+    down = (np.arange(dim)[:, None] >> np.arange(n) & 1).sum(axis=1)
+    mags = {n - 2 * k: float(w) for k, w in enumerate(np.bincount(down, weights=diag))}
 
     return ClassicalSteadyReport(
         offdiag_norm=offdiag,
@@ -206,5 +202,5 @@ def classical_steady_state_check(rho: np.ndarray, c: CouplingSet,
         two_branch_structure=structure,
         support_dimension=support,
         magnetization_weights=mags,
-        purity=float(np.real(np.trace(rho @ rho))),
+        purity=purity(rho),
     )

@@ -260,25 +260,25 @@ def _grid(**bounds):
     return parse
 
 
-# kind -> (position builder, None for explicit rows; then its parameters)
+# kind -> (position builder or None for explicit rows, spin count, parameters)
 _GEOMETRIES = {
-    "chain": (chain_geometry,
+    "chain": (chain_geometry, lambda f: f["n"],
               ("n", _integer(1), _REQUIRED),
               ("spacing", _number(gt=0), _REQUIRED),
               ("z0", _number(), _REQUIRED),
               ("x0", _number(), 0.0)),
-    "dimer_chain": (dimer_chain_geometry,
+    "dimer_chain": (dimer_chain_geometry, lambda f: 2 * f["n_pairs"],
                     ("n_pairs", _integer(1), _REQUIRED),
                     ("pair_spacing", _number(gt=0), _REQUIRED),
                     ("dimer_gap", _number(gt=0), _REQUIRED),
                     ("z0", _number(), _REQUIRED),
                     ("x0", _number(), 0.0)),
-    "plane": (plane_geometry,
+    "plane": (plane_geometry, lambda f: f["n"],
               ("n", _integer(1), _REQUIRED),
               ("box", _box, _REQUIRED),
               ("z0", _number(), _REQUIRED),
               ("seed", _integer(0), _REQUIRED)),
-    "explicit": (None,
+    "explicit": (None, lambda f: len(f["g_vectors"]),
                  ("g_vectors", _g_rows, _REQUIRED)),
 }
 _KIND = ("kind", _choice(*_GEOMETRIES), _REQUIRED)
@@ -290,7 +290,7 @@ def _geometry(v, path, errors):
     entry = _GEOMETRIES.get(kind) if isinstance(kind, str) else None
     if entry is None and isinstance(v, dict):
         v = {"kind": kind}                      # report the kind alone
-    return _walk(v, (_KIND,) + (entry[1:] if entry else ()), path, errors)
+    return _walk(v, (_KIND,) + (entry[2:] if entry else ()), path, errors)
 
 
 _SPECIES = (
@@ -390,7 +390,9 @@ def validate_config(raw: dict, command: str = "run") -> dict:
             errors.append(f"protocol.alpha: |alpha|^2 + |beta|^2 must be 1, "
                           f"got {amp2!r}")
     geom = norm.get("geometry") or {}
-    n = len(geom.get("g_vectors", ())) or 2 * geom.get("n_pairs", 0) or geom.get("n")
+    entry = _GEOMETRIES.get(geom.get("kind"))
+    # counted from the fields only when all parsed, never by building the bath
+    n = entry[1](geom) if entry and len(geom) == len(entry) - 1 else None
     eng = norm.get("engine") or {}
     limit = eng.get("dense_limit")
     if "geometry" in required and n is not None and limit is not None and n > limit:

@@ -115,7 +115,10 @@ def require_grid_memory(points: int, n_spins: int) -> None:
 
 
 def _grid_propagators(species: SpeciesBath, grid) -> tuple[np.ndarray, np.ndarray]:
-    """U+ and U- of every spin at every grid time, memory checked first."""
+    """U+ and U- of every spin at every grid time, type and memory checked first."""
+    if not isinstance(species, SpeciesBath):
+        raise ValueError(f"species must be a SpeciesBath, got "
+                         f"{type(species).__name__}")
     g, omega = species.spins()
     require_grid_memory(np.size(grid), len(g))
     return branch_propagators(g, omega, grid)
@@ -241,12 +244,9 @@ def coherence_trace(bath_state, species: SpeciesBath, t_grid) -> np.ndarray:
     if bath_state is not None and not isinstance(bath_state, str):
         raise ValueError(f"bath_state must be None or a preparation tag from "
                          f"{PREPARATIONS}, got {type(bath_state).__name__}")
-    if not isinstance(species, SpeciesBath):
-        raise ValueError(f"coherence_trace needs a SpeciesBath, got "
-                         f"{type(species).__name__}")
+    up, um = _grid_propagators(species, t_grid)     # a retag keeps g and omega
     if bath_state is not None:
         species = species.retagged(bath_state)
-    up, um = _grid_propagators(species, t_grid)
     return np.abs(_block_overlap(_bath_blocks(species.groups), _dagger(um) @ up))
 
 

@@ -16,6 +16,7 @@ from pairbath.dynamics_dense import (
     run_protocol,
 )
 from pairbath.analysis import (
+    _spin_eigenbases,
     best_phase,
     classical_steady_state_check,
     concurrence,
@@ -208,6 +209,69 @@ def test_plane_geometry_pairing_example():
     for m in asg.matches:
         dev = np.abs(np.angle(np.exp(1j * (m.phase - quad)))).min()
         assert dev < 0.2
+
+
+def _dense_certificate(rho, c):
+    """The certificate with W = kron of the per-spin eigenbases built as a
+    2^N x 2^N matrix, a per-index bit loop for the sectors and purity as
+    Tr(rho rho): the oracle for the Kronecker-kernel version."""
+    n = c.n_spins
+    w = np.eye(1, dtype=complex)
+    for b in _spin_eigenbases(c):
+        w = np.kron(w, b)
+    rho_eig = w.conj().T @ rho @ w
+    diag = np.real(np.diagonal(rho_eig))
+    evals, evecs = np.linalg.eigh(rho)
+    structure = True
+    for idx in (-1, -2):
+        vec = (w.conj().T @ evecs[:, idx]).reshape((2,) * n)
+        for k in range(n):
+            axes = tuple(a for a in range(n) if a != k)
+            if abs(np.tensordot(vec, vec.conj(), axes=(axes, axes))[0, 1]) > 1e-6:
+                structure = False
+    mags = {}
+    for index in range(2**n):
+        m_tot = sum(1 if (index >> (n - 1 - k)) & 1 == 0 else -1 for k in range(n))
+        mags[m_tot] = mags.get(m_tot, 0.0) + float(diag[index])
+    return dict(
+        offdiag_norm=float(np.linalg.norm(rho_eig - np.diag(np.diagonal(rho_eig)))),
+        leading_eigenvalues=(float(evals[-1]), float(evals[-2])),
+        two_branch_structure=structure,
+        support_dimension=int(np.sum(evals > 1e-8)),
+        magnetization_weights=mags,
+        purity=float(np.real(np.trace(rho @ rho))),
+    )
+
+
+def _certificate_cases():
+    rng = np.random.default_rng(28)
+    for n in range(1, 7):
+        c = CouplingSet(rng.normal(0, 1.0, (n, 3)), 0.0)
+        cfg = ProtocolConfig(omega=0.0, tau=1.0, measurements=60)
+        yield c, run_protocol(maximally_mixed(n), cfg, c).final_rho
+        yield c, _random_mixed(rng, 2**n)
+    g0 = np.array([1.3, 0.0, 0.4])
+    c = CouplingSet(np.tile(g0, (4, 1)), 0.0)
+    cfg = ProtocolConfig(omega=0.0, tau=0.7 / np.linalg.norm(g0), measurements=500)
+    yield c, run_protocol(maximally_mixed(4), cfg, c).final_rho
+
+
+def test_classical_check_matches_dense_kronecker_oracle():
+    structures = set()
+    for c, rho in _certificate_cases():
+        got = classical_steady_state_check(rho, c)
+        want = _dense_certificate(rho, c)
+        for name in ("offdiag_norm", "purity"):
+            assert abs(getattr(got, name) - want[name]) < 1e-12, name
+        assert np.allclose(got.leading_eigenvalues, want["leading_eigenvalues"],
+                           rtol=0, atol=1e-12)
+        assert got.two_branch_structure == want["two_branch_structure"]
+        assert got.support_dimension == want["support_dimension"]
+        mags = want["magnetization_weights"]
+        assert list(got.magnetization_weights) == list(mags)   # +N first
+        assert all(abs(got.magnetization_weights[m] - mags[m]) < 1e-12 for m in mags)
+        structures.add(got.two_branch_structure)
+    assert structures == {True, False}
 
 
 def test_classical_steady_state_generic_couplings():

@@ -9,6 +9,7 @@ from pairbath.errors import ConfigError
 from pairbath.spin_core import (CouplingSet, chain_geometry, dimer_chain_geometry,
                                 dipolar_couplings, plane_geometry)
 from pairbath.cli_runner import (
+    _GEOMETRIES,
     _bath_vectors,
     _fmt,
     _pairs_rows,
@@ -100,6 +101,37 @@ def test_validate_dense_limit_conflict():
     validate_config(raw)  # other engines take any N
     raw["engine"] = {"name": "dense", "dense_limit": 14}
     validate_config(raw)  # raised limit clears it too
+
+
+# a four-spin bath of every geometry kind
+FOUR_SPINS = {
+    "chain": CHAIN,
+    "dimer_chain": {"kind": "dimer_chain", "n_pairs": 2, "pair_spacing": 8.0,
+                    "dimer_gap": 1.0, "z0": 100.0},
+    "plane": {"kind": "plane", "n": 4, "box": [0, 10, -5, 5], "z0": 20, "seed": 3},
+    "explicit": {"kind": "explicit", "g_vectors": [[1.0, 0.0, 0.2]] * 4},
+}
+SCAN_GRIDS = {"omega": {"start": 0.5, "stop": 2.0, "points": 2},
+              "tau": {"start": 0.5, "stop": 2.0, "points": 2}}
+
+
+@pytest.mark.parametrize("kind", list(_GEOMETRIES))
+def test_dense_limit_counts_the_spins_of_every_kind(kind):
+    # each kind's spin count sits in the geometry table beside its builder
+    geom = FOUR_SPINS[kind]
+    cfg = validate_config({"geometry": geom, "engine": {"dense_limit": 4}})
+    assert len(_bath_vectors(cfg)) == 4
+    validate_config({"geometry": geom, "scan": SCAN_GRIDS,
+                     "engine": {"dense_limit": 4}}, command="scan")
+    with pytest.raises(ConfigError, match="engine.name: dense engine is limited "
+                                          "to 3 spins but the geometry has 4"):
+        validate_config({"geometry": geom, "engine": {"dense_limit": 3}})
+    with pytest.raises(ConfigError, match="engine.dense_limit: scan runs the dense "
+                                          "engine, which is limited to 3 spins, but "
+                                          "the geometry has 4"):
+        validate_config({"geometry": geom, "scan": SCAN_GRIDS,
+                         "engine": {"name": "factored", "dense_limit": 3}},
+                        command="scan")
 
 
 def test_validate_scan_section_required():

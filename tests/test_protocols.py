@@ -335,6 +335,17 @@ def test_coherence_validation():
         coherence_trace("thermal", bath, [0.0])
 
 
+@pytest.mark.parametrize("call", [
+    lambda c: spectroscopy_scan(c, [0.05, 0.1], m=2),
+    lambda c: coherence_trace(None, c, [0.0, 0.1]),
+    lambda c: coherence_trace("paired", c, [0.0, 0.1]),
+], ids=["spectroscopy", "coherence_own_tags", "coherence_tag"])
+def test_grid_routines_reject_a_coupling_set(call):
+    # one check before any propagator or retag, whichever routine asks
+    with pytest.raises(ValueError, match="SpeciesBath, got CouplingSet"):
+        call(CouplingSet(np.array([[1.0, 0, 0]]), 1.0))
+
+
 def test_retagged_bath_equals_bath_built_with_tag():
     g = np.array([[0.3, 0.1, -0.2], [0.2, -0.4, 0.1], [0.5, 0.0, 0.2], [0.1, 0.1, 0.1]])
     bath = SpeciesBath((SpeciesGroup(2.0, g[:2], "polarized"),
