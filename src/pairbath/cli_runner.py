@@ -37,8 +37,9 @@ from .analysis import concurrence, detect_pairing
 from .dynamics_dense import (
     ProtocolConfig,
     all_pair_rdms,
-    build_V,
+    conditional_operator,
     final_state_by_squaring,
+    from_magic,
     maximally_mixed,
     purity,
     run_protocol,
@@ -563,16 +564,20 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
 def _scan_point(args):
     """(purity, cumulative_p, n_pairs, status) of one grid point.
 
-    The final state comes from V^M by squaring. When the final cumulative
-    p is below the extinction floor, stepping decides whether a round went
-    extinct and which row was the last one written.
+    The final state comes from V^M by squaring, in real arithmetic for an
+    even bath (conditional_operator). When the final cumulative p is below
+    the extinction floor, stepping decides whether a round went extinct
+    and which row was the last one written.
     """
     g_rows, omega, tau, measurements = args
     c = CouplingSet(np.asarray(g_rows, dtype=float), omega)
-    squared = final_state_by_squaring(build_V(c, tau), measurements)
+    v, basis = conditional_operator(c, tau)
+    squared = final_state_by_squaring(v, measurements)
+    del v
     if squared is not None:
         rho, cum = squared
         pur, status = purity(rho), "completed"
+        rho = from_magic(rho, basis)
     else:
         cfg = ProtocolConfig(omega=omega, tau=tau, measurements=measurements)
         traj = run_protocol(maximally_mixed(c.n_spins), cfg, c)

@@ -43,28 +43,59 @@ needs only W = V^M: rho_M = W W^dag / Tr[W W^dag], with the cumulative
 probability P_M = Tr[W W^dag] / d. final_state_by_squaring builds W by
 repeated squaring, in O(log M) plain products instead of M sandwiches,
 and returns None when P_M is below EXTINCTION_FLOOR.
+
+For an even N the engine runs in real arithmetic. Every branch propagator
+is in SU(2), and in the magic basis of a spin pair (Hill & Wootters, PRL
+78, 5022 (1997)), columns of Mq = Mq'/sqrt(2) with
+
+    Mq' = [[1, 0, 0, i], [0, i, 1, 0], [0, i, -1, 0], [1, 0, 0, -i]],
+
+Mq^dag (Ua (x) Ub) Mq is real orthogonal (Kraus & Cirac, PRA 63, 062309
+(2001)). So the factors of runs of whole pairs, U+-, V and every rho a
+round forms from a time-reversal-symmetric start (I/d, singlet products)
+are real in T = (x)Mq' over the pairs. The bath is cut into runs of at
+most two pairs, 2 * balanced_bounds(N // 2, 2) (N=10 is 2+4+4), and each
+factor F becomes 2^-k T^dag F T for a run of k pairs. Mq' has exact
+entries, T^dag T = 2^k I exactly, and the power-of-two scale is exact, so
+the change of basis adds rounding but no bias: a 1/sqrt(2)-normalized Mq
+is unitary only to rounding, and that biases every round's p (about 1e-12
+relative over 800 rounds). magic_basis gives the T of each run,
+run_protocol rotates its start in and the final state back (from_magic),
+and a scan point squares conditional_operator's real V. An odd N has no
+real basis (time reversal squares to -1) and runs complex, as does a
+start that is not real in the basis, on the real factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .dynamics_factored import (EXTINCTION_FLOOR, apply_t, build_branch_operators,
-                                pair_rdm)
+from .dynamics_factored import (EXTINCTION_FLOOR, apply_t, balanced_bounds,
+                                build_branch_operators, pair_rdm)
 from .errors import ConfigError, require_memory
 from .spin_core import CouplingSet
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
+# sqrt(2) times the magic basis of a spin pair, in columns: exact entries
+MAGIC = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]])
+
+# largest imaginary part a factor or start may have and still count as real
+REAL_TOL = 1e-14
+
 # d x d complex matrices the dense engine holds at its peak, rounded up.
-# Peaks read with tracemalloc at N=8: 5.03 for a run_protocol from a start
-# its caller passes as a temporary, with or without dephasing (rho, A and B
-# or their sum, the round's output and an application's intermediate and
-# result), 4.13 for a scan point that squares (V, W, conj(W) and
-# W W^dag) and 5.03 for one that falls back to stepping.
+# Peaks read with tracemalloc. An odd bath runs complex; at N=7: 5.10 for a
+# run_protocol from a start its caller passes as a temporary, with or
+# without dephasing (rho, A and B or their sum, the round's output and an
+# application's intermediate and result), 4.51 for a scan point that
+# squares (V, W, conj(W) and W W^dag) and 5.14 for one that falls back to
+# stepping. An even bath runs real; at N=8: 4.03 for that run, set by the
+# complex changes of basis, 5.02 from a start that is not real in the
+# basis, 3.52 for a scan point that squares and 4.04 for one that steps.
 DENSE_MATRICES = 6
 
 
@@ -157,6 +188,88 @@ def build_V(c: CouplingSet, tau: float, alpha: complex = INV_SQRT2,
     return plus[0] + minus[0]
 
 
+def _pair_bounds(n: int) -> list[int]:
+    """Runs of at most two whole spin pairs, balanced: N=10 is 2+4+4."""
+    return [2 * b for b in balanced_bounds(n // 2, 2)]
+
+
+def magic_basis(n: int) -> list | None:
+    """T = (x)Mq' of each _pair_bounds run of an even bath, T^dag T = 2^k I
+    exactly for k pairs (module docstring); None for an odd bath, which has
+    no real basis."""
+    if n % 2:
+        return None
+    bounds = _pair_bounds(n)
+    return [reduce(np.kron, [MAGIC] * ((hi - lo) // 2))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _inverse(t: np.ndarray) -> np.ndarray:
+    """T^-1 = 2^-k T^dag, exactly: the scale is a power of two."""
+    return t.conj().T / math.isqrt(len(t))
+
+
+def _sandwich(z: np.ndarray, left: list, right: list) -> np.ndarray:
+    """(kron left) z (kron right), as two applications of the kernel."""
+    return apply_t([f.T for f in right], apply_t(left, z))
+
+
+def _branch_factors(c: CouplingSet, tau: float, alpha: complex, beta: complex,
+                    basis: list | None) -> tuple[list, list]:
+    """The factors of |alpha|^2 U+ and |beta|^2 U- (build_branch_operators):
+    with a basis, those of its runs, 2^-k T^dag F T, real. Raises
+    ValueError if one is not real to REAL_TOL, which SU(2) propagators
+    rule out."""
+    if basis is None:
+        return build_branch_operators(c, tau, alpha, beta)
+    out = []
+    for factors in build_branch_operators(c, tau, alpha, beta,
+                                          _pair_bounds(c.n_spins)):
+        rotated = [_inverse(t) @ f @ t for f, t in zip(factors, basis)]
+        worst = max(np.abs(f.imag).max() for f in rotated)
+        if not worst <= REAL_TOL:
+            raise ValueError(f"a branch factor has an imaginary part of {worst:.3g} "
+                             "in the magic basis")
+        out.append([np.ascontiguousarray(f.real) for f in rotated])
+    return tuple(out)
+
+
+def conditional_operator(c: CouplingSet, tau: float, alpha: complex = INV_SQRT2,
+                         beta: complex = INV_SQRT2) -> tuple[np.ndarray, list | None]:
+    """(V, basis): for an even bath V in magic_basis, real, and that basis;
+    for an odd one build_V's V and None. from_magic(rho, basis) takes a
+    state made from V to the product basis. Raises CapacityError, before
+    any propagator is built, if the dense engine's matrices would not fit."""
+    basis = magic_basis(c.n_spins)
+    if basis is None:
+        return build_V(c, tau, alpha, beta), None
+    _require_unit_norm(alpha, beta)
+    require_dense_memory(c.n_spins)
+    plus, minus = _branch_factors(c, tau, alpha, beta, basis)
+    return reduce(np.kron, plus) + reduce(np.kron, minus), basis
+
+
+def _to_magic(rho0: np.ndarray, basis: list | None) -> np.ndarray:
+    """A copy of rho0 in basis (magic_basis or None): real when it is real
+    there to REAL_TOL, as I/d and every time-reversal-symmetric state are."""
+    if basis is None:
+        return np.array(rho0, dtype=complex)
+    rho = _sandwich(np.asarray(rho0, dtype=complex),
+                    [_inverse(t) for t in basis], basis)
+    im = rho.imag                      # max and min make no temporary
+    if im.max() <= REAL_TOL and -im.min() <= REAL_TOL:
+        return np.ascontiguousarray(rho.real)
+    return rho
+
+
+def from_magic(rho: np.ndarray, basis: list | None) -> np.ndarray:
+    """rho, a state in basis (magic_basis or None), in the product basis and
+    made exactly Hermitian; rho itself is written when basis is None."""
+    if basis is not None:
+        rho = _sandwich(rho, basis, [_inverse(t) for t in basis])
+    return _hermitize(rho)
+
+
 def apply_projection(rho: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, float]:
     """One conditional update: (V rho V^dag / p, p). Raises ValueError at
     p = 0, where no conditional state exists; the extinction floor is the
@@ -171,8 +284,10 @@ def apply_projection(rho: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, float]
 
 def _hermitize(out: np.ndarray) -> np.ndarray:
     """(out + out^dag) / 2 in place, exactly Hermitian: it curbs the drift
-    of a gemm sandwich. conj() copies, so the in-place sum reads no entry
-    it has already written."""
+    of a gemm sandwich. For a complex out, conj() copies; for a real one it
+    returns out itself, so the sum adds out to its own transpose, which is
+    exact only because numpy buffers an operand that overlaps the output of
+    an in-place operation, and so reads no entry it has already written."""
     out += out.conj().T
     out *= 0.5
     return out
@@ -258,19 +373,22 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     then has fewer than cfg.measurements steps. The kernel keeps rho
     Hermitian to rounding (|rho - rho^dag| <= 2.3e-17 over the N=10 dimer
     chain's 100 rounds), so rounds only divide; the returned state is made
-    exactly Hermitian.
+    exactly Hermitian. An even bath runs in magic_basis, in real
+    arithmetic when rho0 is real there (module docstring); the returned
+    state is in the product basis either way.
     """
     cfg.require_omega_of(c)
     require_dense_memory(c.n_spins)
-    left = build_branch_operators(c, cfg.tau, cfg.alpha, cfg.beta)
+    basis = magic_basis(c.n_spins)
+    left = _branch_factors(c, cfg.tau, cfg.alpha, cfg.beta, basis)
     right = tuple([f.conj() for f in factors] for factors in left)
     e = np.exp(-cfg.dephasing_rate * cfg.effective_readout_time)
     # s/|alpha|^2 and s/|beta|^2; a branch of weight 0 has zero factors
     s = 0.5 * (1.0 - e)
     leak = tuple(s / w if w > 0 else 0.0
                  for w in (abs(cfg.alpha) ** 2, abs(cfg.beta) ** 2))
-    rho = np.array(rho0, dtype=complex)  # a copy: _hermitize writes in place
-    del rho0                             # frees a caller's temporary start
+    rho = _to_magic(rho0, basis)  # a copy: from_magic may write in place
+    del rho0                      # frees a caller's temporary start
     cond, purs = [], []
     for _ in range(cfg.measurements):
         out = _round(rho, left, right, e, leak)
@@ -285,5 +403,5 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
         conditional_p=np.array(cond),
         cumulative_p=np.cumprod(cond),
         purity=np.array(purs),
-        final_rho=_hermitize(rho),
+        final_rho=from_magic(rho, basis),
     )

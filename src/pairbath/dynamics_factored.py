@@ -12,8 +12,10 @@ they are the weighted dense U+- build_V sums. apply_t is the one kernel:
 each factor is one 2-D gemm that contracts the leading run of spins and
 moves its new index to the back, so it returns the product transposed.
 A round on the block and the dense engine's rho rounds both use it.
-Pair RDMs come from the union of at most two runs: one copy and one gemm
-reduce the block to those spins, and every pair inside is read from that.
+Pair RDMs come from the union of at most two runs, or from the pair alone
+when the union's reduced state would outgrow the block: one copy and one
+gemm reduce the block to those spins, and every pair inside is read from
+that.
 The block is never renormalized, so its mean squared column norm after m
 rounds is the cumulative success probability P_m, free of cancellation,
 and a round's conditional p is the ratio of two consecutive ones. Memory
@@ -46,7 +48,7 @@ EXTINCTION_FLOOR = 1e-14
 # block-sized complex arrays alive at the engine's peak: the block, the
 # round's sum and the input and output of one factor's gemm. A pair RDM
 # holds three (the block, its reordered copy and that copy's conjugate)
-# plus the reduced state of at most 2 FUSE spins, at most 16 MiB. Peaks
+# plus the reduced state, which pair_rdms keeps within one block. Peaks
 # read with tracemalloc at N=16: 4.00 blocks at r = 16 and 4.06 at r = 1,
 # where the reduced state of 8 spins is itself one block.
 BLOCKS = 4
@@ -128,9 +130,11 @@ def pair_rdms(state: np.ndarray, pairs) -> dict[tuple[int, int], np.ndarray]:
     summed over the block's columns.
 
     Every pair lies in the union of at most two balanced_bounds runs, at
-    most 2 FUSE spins. The pairs are grouped by that union; each group's
-    spins are reduced in one _rdm_unnormalized call and every pair of the
-    group is read from that reduced state by pair_rdm.
+    most 2 FUSE spins. A pair is grouped by that union when the union's
+    4^u entries are at most the block's 2^N r, and alone otherwise (at
+    N <= 10 the union is the whole bath); each group's spins are reduced
+    in one _rdm_unnormalized call and every pair of the group is read from
+    that reduced state by pair_rdm.
     """
     pairs, n = list(pairs), state.shape[0].bit_length() - 1
     bounds = balanced_bounds(n)
@@ -146,7 +150,9 @@ def pair_rdms(state: np.ndarray, pairs) -> dict[tuple[int, int], np.ndarray]:
         if a == b:                      # one run: share a union with the next
             a = min(a, last)
             b = a + 1
-        groups.setdefault((a, b), []).append((i, j))
+        union = tuple(np.flatnonzero((run == a) | (run == b)))
+        key = union if 4 ** len(union) <= state.size else tuple(sorted((i, j)))
+        groups.setdefault(key, []).append((i, j))
     out = {}
     for group in groups.values():
         spins = sorted({s for pair in group for s in pair})

@@ -595,6 +595,39 @@ def test_scan_point_within_dense_memory_estimate(m):
     assert peak <= DENSE_MATRICES * 16 * 4**n
 
 
+@pytest.mark.parametrize("m", [40, 100])
+def test_even_scan_point_within_dense_memory_estimate(m):
+    # an even bath squares a real V and rotates the state back (M=40), or
+    # steps real rounds below the floor (M=100)
+    import tracemalloc
+    from pairbath.dynamics_dense import DENSE_MATRICES
+    n = 8
+    g = np.random.default_rng(26).normal(size=(n, 3)).tolist()
+    tracemalloc.start()
+    try:
+        cum = _scan_point((g, 1.0, 0.3, m))[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cum < 1e-14) == (m == 100)
+    assert peak <= DENSE_MATRICES * 16 * 4**n
+
+
+def test_cli_import_loads_no_scipy():
+    # every CLI call pays its imports: scipy.linalg alone costs about 0.2 s
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "import pairbath.cli_runner; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_main_seed_and_engine_overrides(tmp_path):
     doc = {"seed": 1,
            "geometry": {"kind": "explicit",

@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 
 import numpy as np
@@ -19,11 +20,15 @@ from pairbath.spin_core import (
 )
 from pairbath.dynamics_dense import (
     DENSE_MATRICES,
+    MAGIC,
     ProtocolConfig,
     all_pair_rdms,
     apply_projection,
     build_V,
+    conditional_operator,
     final_state_by_squaring,
+    from_magic,
+    magic_basis,
     maximally_mixed,
     pair_rdm,
     purity,
@@ -567,3 +572,148 @@ def test_all_pair_rdms_keys():
 def test_maximally_mixed_purity():
     for n in (1, 2, 5):
         assert abs(purity(maximally_mixed(n)) - 2.0**-n) < 1e-14
+
+
+def test_hermitize_real_matrix_is_exact_symmetric_part():
+    # for a real array conj() returns the array itself, so the in-place
+    # sum adds it to its own transpose; numpy buffers the overlap
+    import pairbath.dynamics_dense as dd
+    a = np.random.default_rng(50).normal(size=(64, 64))
+    assert a.conj() is a
+    want = (a + a.T) / 2
+    got = dd._hermitize(a.copy())
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, got.T)
+
+
+def test_magic_basis_is_orthogonal_up_to_an_exact_power_of_two():
+    # runs of at most two whole pairs, balanced; (x)Mq' over k pairs has
+    # T^dag T = 2^k I with no rounding
+    sizes = {2: [4], 4: [16], 6: [4, 16], 8: [16, 16], 10: [4, 16, 16],
+             12: [16, 16, 16]}
+    for n, want in sizes.items():
+        basis = magic_basis(n)
+        assert [len(t) for t in basis] == want
+        for t in basis:
+            assert np.array_equal(t.conj().T @ t, math.isqrt(len(t)) * np.eye(len(t)))
+    assert np.array_equal(MAGIC.conj().T @ MAGIC, 2 * np.eye(4))
+    for n in (1, 3, 5, 7):
+        assert magic_basis(n) is None
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_magic_factors_of_random_baths_are_real(n):
+    # every branch propagator is in SU(2), so each run's factor is real in
+    # (x)Mq': checked here from the product-basis factors, and the engine's
+    # factors are their real parts
+    import pairbath.dynamics_dense as dd
+    rng = np.random.default_rng(60 + n)
+    for _ in range(5):
+        c = CouplingSet(rng.normal(0, 1.5, (n, 3)), rng.uniform(0, 4))
+        tau = rng.uniform(0.05, 2.0)
+        basis = magic_basis(n)
+        real = dd._branch_factors(c, tau, 0.6, 0.8j, basis)
+        product = dd.build_branch_operators(c, tau, 0.6, 0.8j, dd._pair_bounds(n))
+        for got, factors in zip(real, product):
+            for f, t, r in zip(factors, basis, got):
+                rotated = t.conj().T @ f @ t / math.isqrt(len(t))
+                assert np.abs(rotated.imag).max() <= 1e-14
+                assert r.dtype == np.float64
+                assert np.array_equal(r, rotated.real)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_time_reversal_conjugates_V(n):
+    # sigma_y U sigma_y = U* for every SU(2) rotation, so Y V Y = V* with
+    # Y the product of sigma_y: the symmetry the magic basis makes explicit
+    rng = np.random.default_rng(70 + n)
+    y = reduce(np.kron, [SIGMA_Y] * n)
+    for _ in range(5):
+        c = CouplingSet(rng.normal(0, 1.5, (n, 3)), rng.uniform(0, 4))
+        v = build_V(c, rng.uniform(0.05, 2.0), 0.6, 0.8j)
+        assert np.abs(y @ v @ y - v.conj()).max() <= 1e-15
+
+
+def _singlet_product(n):
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    psi = reduce(np.kron, [singlet] * (n // 2))
+    return np.outer(psi, psi.conj()).astype(complex)
+
+
+@pytest.mark.parametrize("case", ["mixed_even", "singlets", "mixed_odd", "random_even"])
+def test_rounds_run_real_for_time_reversal_symmetric_starts(case, monkeypatch):
+    # the rounds run real from I/d and from singlet pairs on an even bath;
+    # an odd bath, and a start that is not real in the magic basis, run
+    # complex; each matches gemm stepping in the product basis
+    import pairbath.dynamics_dense as dd
+    real_round, dtypes = dd._round, []
+
+    def recorded(rho, *args):
+        dtypes.append(rho.dtype)
+        return real_round(rho, *args)
+    monkeypatch.setattr(dd, "_round", recorded)
+    n = 5 if case == "mixed_odd" else 6
+    c, tau = _chain_bath(n, dimers=False)
+    rho0 = {"mixed_even": maximally_mixed(n), "mixed_odd": maximally_mixed(n),
+            "singlets": _singlet_product(n),
+            "random_even": _random_mixed(np.random.default_rng(80), 2**n)}[case]
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=40)
+    traj = run_protocol(rho0, cfg, c)
+    assert traj.steps == 40
+    want = np.float64 if case in ("mixed_even", "singlets") else np.complex128
+    assert set(dtypes) == {np.dtype(want)}
+    assert traj.final_rho.dtype == np.complex128
+    _assert_matches_gemm(traj, rho0, cfg, c)
+
+
+@pytest.mark.parametrize("rate_tau", [0.0, 0.3])
+def test_real_rounds_keep_the_complex_cumulative_p(rate_tau, monkeypatch):
+    # criterion 7's chain at M=800: real rounds in the exactly scaled basis
+    # keep cumulative p within 5e-13 (relative) of complex rounds in the
+    # product basis; a basis normalized by 1/sqrt(2) is unitary only to
+    # rounding and drifts to about 9e-13
+    import pairbath.dynamics_dense as dd
+    c, tau = _chain_bath(6, dimers=False)
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=800,
+                         dephasing_rate=rate_tau / tau)
+    traj = run_protocol(maximally_mixed(6), cfg, c)
+    monkeypatch.setattr(dd, "magic_basis", lambda n: None)
+    want = run_protocol(maximally_mixed(6), cfg, c)
+    assert traj.steps == want.steps == 800
+    assert np.abs(traj.cumulative_p / want.cumulative_p - 1.0).max() < 5e-13
+    assert np.abs(traj.conditional_p - want.conditional_p).max() < 1e-12
+    assert np.abs(traj.purity - want.purity).max() < 1e-12
+    assert np.abs(traj.final_rho - want.final_rho).max() < 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta", [(2**-0.5, 2**-0.5), (0.6, 0.8j)])
+def test_scan_point_squares_real_V_like_the_complex_one(alpha, beta):
+    # an even bath squares V in the magic basis, an odd one build_V's V
+    for n in (8, 7):
+        c, tau = _chain_bath(n, dimers=False)
+        v, basis = conditional_operator(c, tau, alpha, beta)
+        assert (basis is None) == (n % 2 == 1)
+        assert v.dtype == (np.complex128 if n % 2 else np.float64)
+        rho, p = final_state_by_squaring(v, 40)
+        rho = from_magic(rho, basis)
+        want_rho, want_p = final_state_by_squaring(build_V(c, tau, alpha, beta), 40)
+        assert np.abs(rho - want_rho).max() < 1e-12
+        assert abs(p / want_p - 1.0) < 1e-12
+        assert np.array_equal(rho, rho.conj().T)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_even_run_within_dense_memory_estimate(rate):
+    # an even bath: a real rho and its rounds, then the rotation back to a
+    # complex state in the product basis
+    import tracemalloc
+    n = 8
+    c = CouplingSet(np.random.default_rng(26).normal(size=(n, 3)), 1.0)
+    cfg = ProtocolConfig(omega=1.0, tau=0.3, measurements=3, dephasing_rate=rate)
+    tracemalloc.start()
+    try:
+        run_protocol(maximally_mixed(n), cfg, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= DENSE_MATRICES * 16 * 4**n

@@ -175,15 +175,16 @@ def test_rdm_before_any_round_is_product():
 
 
 def test_pair_rdms_from_run_unions_match_dense(monkeypatch):
-    # N = 11 is cut 3+4+4: all 55 pairs come from the 3 unions of two runs,
-    # a reversed pair and one inside a run included
+    # N = 11 is cut 3+4+4. A union of two runs (7 or 8 spins) reduces its
+    # pairs together only when its 4^u entries are at most the block's
+    # 2^11 r: at r = 3 every pair is reduced alone, at r = 8 the two
+    # 7-spin unions (runs 0+1 with the pairs inside run 0, and runs 0+2)
+    # apply and the 28 pairs of the 8-spin union are reduced alone, and at
+    # r = 32 all three unions apply
     import pairbath.dynamics_factored as df
     rng = np.random.default_rng(42)
     n = 11
     assert balanced_bounds(n) == [0, 3, 7, 11]
-    state = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
-    rho = state @ state.conj().T
-    rho /= np.trace(rho).real
     calls = []
 
     def counted(block, spins):
@@ -191,14 +192,19 @@ def test_pair_rdms_from_run_unions_match_dense(monkeypatch):
         return _rdm_unnormalized(block, spins)
     monkeypatch.setattr(df, "_rdm_unnormalized", counted)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    got = pair_rdms(state, pairs)
-    assert len(calls) == 3 and max(len(s) for s in calls) == 8
-    assert list(got) == pairs
-    for p in pairs:
-        assert np.abs(got[p] - pair_rdm(rho, n, *p)).max() < 1e-12
-    for i, j in ((9, 2), (4, 6)):      # reversed; inside the run 3..6
-        got = reduced_density_matrix(state, i, j)
-        assert np.abs(got - pair_rdm(rho, n, i, j)).max() < 1e-12
+    for r, sizes in ((3, [2] * 55), (8, [2] * 28 + [7] * 2), (32, [7, 7, 8])):
+        state = rng.normal(size=(2**n, r)) + 1j * rng.normal(size=(2**n, r))
+        rho = state @ state.conj().T
+        rho /= np.trace(rho).real
+        calls.clear()
+        got = pair_rdms(state, pairs)
+        assert sorted(len(s) for s in calls) == sizes
+        assert list(got) == pairs
+        for p in pairs:
+            assert np.abs(got[p] - pair_rdm(rho, n, *p)).max() < 1e-12
+        for i, j in ((9, 2), (4, 6)):      # reversed; inside the run 3..6
+            got = reduced_density_matrix(state, i, j)
+            assert np.abs(got - pair_rdm(rho, n, i, j)).max() < 1e-12
     with pytest.raises(ValueError, match="outside a block of 11 spins"):
         pair_rdms(state, [(0, 11)])
 
