@@ -39,8 +39,6 @@ from .dynamics_dense import (
     all_pair_rdms,
     conditional_operator,
     final_state_by_squaring,
-    from_magic,
-    maximally_mixed,
     purity,
     run_protocol,
 )
@@ -493,12 +491,12 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
     pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     if eng["name"] == "dense":
-        traj = run_protocol(maximally_mixed(n), pcfg, c)
+        traj = run_protocol(None, pcfg, c)
         steps = traj.steps
         traj_rows = [(s + 1, traj.conditional_p[s], traj.cumulative_p[s],
                       traj.purity[s]) for s in range(steps)]
-        rdms = all_pair_rdms(traj.final_rho, n)
-        final_purity = float(traj.purity[-1]) if steps else purity(traj.final_rho)
+        rdms = all_pair_rdms(traj.state, n, traj.basis)
+        final_purity = float(traj.purity[-1]) if steps else purity(traj.state)
     elif eng["name"] == "factored":
         if eng["initial_state"] == "haar":
             from .dynamics_factored import _haar_product
@@ -565,9 +563,10 @@ def _scan_point(args):
     """(purity, cumulative_p, n_pairs, status) of one grid point.
 
     The final state comes from V^M by squaring, in real arithmetic for an
-    even bath (conditional_operator). When the final cumulative p is below
-    the extinction floor, stepping decides whether a round went extinct
-    and which row was the last one written.
+    even bath (conditional_operator), and its pairs are read in V's basis.
+    When the final cumulative p is below the extinction floor, stepping
+    decides whether a round went extinct and which row was the last one
+    written.
     """
     g_rows, omega, tau, measurements = args
     c = CouplingSet(np.asarray(g_rows, dtype=float), omega)
@@ -577,15 +576,14 @@ def _scan_point(args):
     if squared is not None:
         rho, cum = squared
         pur, status = purity(rho), "completed"
-        rho = from_magic(rho, basis)
     else:
         cfg = ProtocolConfig(omega=omega, tau=tau, measurements=measurements)
-        traj = run_protocol(maximally_mixed(c.n_spins), cfg, c)
-        rho = traj.final_rho
+        traj = run_protocol(None, cfg, c)
+        rho, basis = traj.state, traj.basis
         status = "completed" if traj.steps == measurements else "extinct"
         cum = float(traj.cumulative_p[-1]) if traj.steps else float("nan")
-        pur = float(traj.purity[-1]) if traj.steps else purity(traj.final_rho)
-    asg = detect_pairing(all_pair_rdms(rho, c.n_spins), c.n_spins)
+        pur = float(traj.purity[-1]) if traj.steps else purity(rho)
+    asg = detect_pairing(all_pair_rdms(rho, c.n_spins, basis), c.n_spins)
     n_pairs = sum(1 for m in asg.matches if m.fidelity > 0.9)
     return pur, cum, n_pairs, status
 

@@ -34,8 +34,9 @@ B = U'- rho and s = (1-e)/2, a round is
 which is V rho V^dag at e = 1. It takes four calls of the one kernel,
 apply_t, which returns its product transposed: A^T and B^T from the
 factors, then X+- U'+-^dag = (conj(U'+-) X+-^T)^T from the conjugated
-factors, built once per run. Every round of a run is this one, followed
-by a divide by its trace, whatever rho's rank: an eigendecomposition to
+factors, built once per run, each writing into one of four arrays the
+run allocates once. Every round of a run is this one, followed by a
+divide by its trace, whatever rho's rank: an eigendecomposition to
 continue on a low-rank block costs more than the rounds it would save.
 
 Without dephasing the final state from the maximally mixed start also
@@ -59,11 +60,17 @@ factor F becomes 2^-k T^dag F T for a run of k pairs. Mq' has exact
 entries, T^dag T = 2^k I exactly, and the power-of-two scale is exact, so
 the change of basis adds rounding but no bias: a 1/sqrt(2)-normalized Mq
 is unitary only to rounding, and that biases every round's p (about 1e-12
-relative over 800 rounds). magic_basis gives the T of each run,
-run_protocol rotates its start in and the final state back (from_magic),
-and a scan point squares conditional_operator's real V. An odd N has no
-real basis (time reversal squares to -1) and runs complex, as does a
-start that is not real in the basis, on the real factors.
+relative over 800 rounds). magic_basis gives the T of each run. The
+maximally mixed start (rho0 None) is I/d in every basis, so run_protocol
+builds it real in T, and rotates in only a start its caller passes; a scan
+point squares conditional_operator's real V. Either keeps its final state
+in T: a Trajectory rotates it back (from_magic) only when final_rho is
+read, and all_pair_rdms reads each pair in T from the at most 16 x 16
+state of the one or two magic pairs that hold it, because a trace over
+whole pairs does not see their basis. So no complex d x d matrix exists
+in a run or scan point from a real start. An odd N has no real basis
+(time reversal squares to -1) and runs complex, as does a start that is
+not real in the basis, on the real factors.
 """
 
 from __future__ import annotations
@@ -90,13 +97,20 @@ REAL_TOL = 1e-14
 # d x d complex matrices the dense engine holds at its peak, rounded up.
 # Peaks read with tracemalloc. An odd bath runs complex; at N=7: 5.10 for a
 # run_protocol from a start its caller passes as a temporary, with or
-# without dephasing (rho, A and B or their sum, the round's output and an
-# application's intermediate and result), 4.51 for a scan point that
-# squares (V, W, conj(W) and W W^dag) and 5.14 for one that falls back to
-# stepping. An even bath runs real; at N=8: 4.03 for that run, set by the
-# complex changes of basis, 5.02 from a start that is not real in the
-# basis, 3.52 for a scan point that squares and 4.04 for one that steps.
+# without dephasing (rho and the four arrays its rounds write), 4.51 for
+# a scan point that squares (V, W, conj(W) and W W^dag) and 5.13 for one
+# that falls back to stepping. An even bath from a start its caller passes holds that start's
+# complex change of basis; at N=8: 4.03 from I/d, 5.03 from a start that
+# is not real in the basis.
 DENSE_MATRICES = 6
+
+# d x d real matrices an even bath holds at its peak from a real start,
+# rounded up: run_protocol(None, ...) and every scan point, which keep
+# their state in the basis (module docstring). Peaks read with tracemalloc
+# at N=8: 5.04 for that run, with or without dephasing (rho and the four
+# arrays its rounds write), 4.15 for a scan point that squares and 5.08
+# for one that steps.
+REAL_DENSE_MATRICES = 6
 
 
 @dataclass(frozen=True)
@@ -144,29 +158,42 @@ def _require_unit_norm(alpha: complex, beta: complex) -> None:
 class Trajectory:
     """Per-step record of the kept rounds of a conditional run plus the
     final bath state; fewer steps than the run asked for mean it went
-    extinct."""
+    extinct. The state is kept in the run's basis (magic_basis, or None
+    for the product basis), where all_pair_rdms reads it."""
 
     conditional_p: np.ndarray
     cumulative_p: np.ndarray
     purity: np.ndarray
-    final_rho: np.ndarray
+    state: np.ndarray
+    basis: list | None
 
     @property
     def steps(self) -> int:
         return len(self.conditional_p)
 
+    @property
+    def final_rho(self) -> np.ndarray:
+        """The final state in the product basis, exactly Hermitian; each
+        read rotates a new copy out of the basis."""
+        return from_magic(self.state, self.basis)
 
-def require_dense_memory(n: int) -> None:
+
+def require_dense_memory(n: int, real: bool = False) -> None:
     """Raise CapacityError if the dense engine's matrices for n spins would
-    not fit in physical memory."""
-    require_memory(DENSE_MATRICES * 16 * 4**n,
-                   f"the dense engine's {DENSE_MATRICES} matrices of "
-                   f"2^{n} x 2^{n} complex entries",
+    not fit in physical memory: REAL_DENSE_MATRICES real ones for an even
+    bath from a real start (real), DENSE_MATRICES complex ones otherwise."""
+    count, size, kind = ((REAL_DENSE_MATRICES, 8, "real") if real
+                         else (DENSE_MATRICES, 16, "complex"))
+    require_memory(count * size * 4**n,
+                   f"the dense engine's {count} matrices of "
+                   f"2^{n} x 2^{n} {kind} entries",
                    "use fewer spins, or for run the factored or montecarlo engine")
 
 
 def maximally_mixed(n: int) -> np.ndarray:
-    """The dense engine's mixed start; its memory is checked first."""
+    """The dense engine's mixed start in the product basis; its memory is
+    checked first. run_protocol(None, ...) starts from it without forming
+    it."""
     require_dense_memory(n)
     dim = 2**n
     return np.eye(dim, dtype=complex) / dim
@@ -237,14 +264,15 @@ def _branch_factors(c: CouplingSet, tau: float, alpha: complex, beta: complex,
 def conditional_operator(c: CouplingSet, tau: float, alpha: complex = INV_SQRT2,
                          beta: complex = INV_SQRT2) -> tuple[np.ndarray, list | None]:
     """(V, basis): for an even bath V in magic_basis, real, and that basis;
-    for an odd one build_V's V and None. from_magic(rho, basis) takes a
-    state made from V to the product basis. Raises CapacityError, before
-    any propagator is built, if the dense engine's matrices would not fit."""
+    for an odd one build_V's V and None. all_pair_rdms(rho, n, basis)
+    reads the pairs of a state made from V, and from_magic(rho, basis)
+    takes it to the product basis. Raises CapacityError, before any
+    propagator is built, if the dense engine's matrices would not fit."""
     basis = magic_basis(c.n_spins)
     if basis is None:
         return build_V(c, tau, alpha, beta), None
     _require_unit_norm(alpha, beta)
-    require_dense_memory(c.n_spins)
+    require_dense_memory(c.n_spins, real=True)
     plus, minus = _branch_factors(c, tau, alpha, beta, basis)
     return reduce(np.kron, plus) + reduce(np.kron, minus), basis
 
@@ -264,10 +292,10 @@ def _to_magic(rho0: np.ndarray, basis: list | None) -> np.ndarray:
 
 def from_magic(rho: np.ndarray, basis: list | None) -> np.ndarray:
     """rho, a state in basis (magic_basis or None), in the product basis and
-    made exactly Hermitian; rho itself is written when basis is None."""
-    if basis is not None:
-        rho = _sandwich(rho, basis, [_inverse(t) for t in basis])
-    return _hermitize(rho)
+    made exactly Hermitian, as a new array: rho itself is never written."""
+    if basis is None:
+        return _hermitize(rho.copy())
+    return _hermitize(_sandwich(rho, basis, [_inverse(t) for t in basis]))
 
 
 def apply_projection(rho: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, float]:
@@ -328,43 +356,75 @@ def final_state_by_squaring(V: np.ndarray,
     return _hermitize(out), p
 
 
-def all_pair_rdms(rho: np.ndarray, n: int) -> dict[tuple[int, int], np.ndarray]:
-    rdms = {}
+def all_pair_rdms(rho: np.ndarray, n: int,
+                  basis: list | None = None) -> dict[tuple[int, int], np.ndarray]:
+    """pair_rdm of every pair i < j of rho, a state in basis (magic_basis
+    or None). In a basis, each pair is read from the product-basis state
+    of the one or two magic pairs that hold it (_magic_block), so rho is
+    never rotated back."""
+    if basis is None:
+        return {(i, j): pair_rdm(rho, n, i, j)
+                for i in range(n) for j in range(i + 1, n)}
+    rdms, blocks = {}, {}
     for i in range(n):
         for j in range(i + 1, n):
-            rdms[(i, j)] = pair_rdm(rho, n, i, j)
+            held = tuple(sorted({i // 2, j // 2}))
+            if held not in blocks:
+                blocks[held] = _magic_block(rho, n, held)
+            spins = [s for p in held for s in (2 * p, 2 * p + 1)]
+            rdms[(i, j)] = pair_rdm(blocks[held], len(spins),
+                                    spins.index(i), spins.index(j))
     return rdms
 
 
+def _magic_block(rho: np.ndarray, n: int, held: tuple) -> np.ndarray:
+    """The product-basis state of the spins of the magic pairs held (one
+    or two, ascending) from rho in magic_basis(n). The trace over every
+    other pair does not see their basis, since T is a product over pairs;
+    the at most 16 x 16 result is rotated back with (x)Mq' and its exact
+    inverse."""
+    k = n // 2
+    cols = [k + p if p in held else p for p in range(k)]
+    sigma = np.einsum(rho.reshape((4,) * (2 * k)), list(range(k)) + cols,
+                      list(held) + [k + p for p in held])
+    t = reduce(np.kron, [MAGIC] * len(held))
+    return t @ sigma.reshape(len(t), len(t)) @ _inverse(t)
+
+
 def _round(rho: np.ndarray, left: tuple, right: tuple, e: float,
-           leak: tuple[float, float]) -> np.ndarray:
+           leak: tuple[float, float], work: list) -> np.ndarray:
     """One round, unnormalized, as four transposing applications (apply_t)
     of the fused factors: A^T and B^T from left = (plus, minus), the
     factors of U'+ and U'-, on rho; then X+ U'+^dag + X- U'-^dag from
     right, the conjugated factors, on X+-^T, with X+- = e (A + B) +
     leak+- (A or B) (module docstring). At e = 1 both X are A + B and the
-    round is V rho V^dag."""
-    a = apply_t(left[0], rho)
-    b = apply_t(left[1], rho)
+    round is V rho V^dag. Every product is written into work, four arrays
+    of rho's shape and dtype other than rho, so a round allocates no
+    d x d matrix; the result is work[3]'s memory."""
+    a = apply_t(left[0], rho, (work[0], work[2]))
+    b = apply_t(left[1], rho, (work[1], work[2]))
     if e == 1.0:
         a += b
         b = a
     else:
-        x = a + b
+        x = np.add(a, b, out=work[2])
         x *= e
         a *= leak[0]
         a += x
         b *= leak[1]
         b += x
-        del x
-    out = apply_t(right[0], a)
-    del a
-    out += apply_t(right[1], b)
+    out = apply_t(right[0], a, (work[3], work[2]))
+    # the second product goes to whichever of A's and B's arrays it does
+    # not read
+    free = work[1] if b is a else work[0]
+    out += apply_t(right[1], b, (free, work[2]))
     return out
 
 
-def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Trajectory:
-    """Evolve rho0 through up to cfg.measurements successful rounds.
+def run_protocol(rho0: np.ndarray | None, cfg: ProtocolConfig,
+                 c: CouplingSet) -> Trajectory:
+    """Evolve rho0, or the maximally mixed start when it is None, through
+    up to cfg.measurements successful rounds.
 
     Each round applies the reduced evolve/dephase/project map of the module
     docstring matrix free on the fused factors (_round), then divides by
@@ -372,14 +432,17 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     whose p is below EXTINCTION_FLOOR ends the trajectory before it, which
     then has fewer than cfg.measurements steps. The kernel keeps rho
     Hermitian to rounding (|rho - rho^dag| <= 2.3e-17 over the N=10 dimer
-    chain's 100 rounds), so rounds only divide; the returned state is made
+    chain's 100 rounds), so rounds only divide; final_rho makes the state
     exactly Hermitian. An even bath runs in magic_basis, in real
-    arithmetic when rho0 is real there (module docstring); the returned
-    state is in the product basis either way.
+    arithmetic when rho0 is real there (module docstring): the mixed start
+    is I/d in every basis, so it is built there, real, and its memory is
+    checked for real matrices. The Trajectory keeps the final state in the
+    run's basis; its final_rho is in the product basis.
     """
     cfg.require_omega_of(c)
-    require_dense_memory(c.n_spins)
-    basis = magic_basis(c.n_spins)
+    n = c.n_spins
+    basis = magic_basis(n)
+    require_dense_memory(n, real=rho0 is None and basis is not None)
     left = _branch_factors(c, cfg.tau, cfg.alpha, cfg.beta, basis)
     right = tuple([f.conj() for f in factors] for factors in left)
     e = np.exp(-cfg.dephasing_rate * cfg.effective_readout_time)
@@ -387,21 +450,28 @@ def run_protocol(rho0: np.ndarray, cfg: ProtocolConfig, c: CouplingSet) -> Traje
     s = 0.5 * (1.0 - e)
     leak = tuple(s / w if w > 0 else 0.0
                  for w in (abs(cfg.alpha) ** 2, abs(cfg.beta) ** 2))
-    rho = _to_magic(rho0, basis)  # a copy: from_magic may write in place
-    del rho0                      # frees a caller's temporary start
+    if rho0 is None:
+        rho = np.eye(2**n, dtype=complex if basis is None else float) / 2**n
+    else:
+        rho = _to_magic(rho0, basis)  # a copy the Trajectory does not share
+        del rho0                      # frees a caller's temporary start
+    # the rounds reuse these arrays: fresh ones every round would have the
+    # allocator return their pages and fault them in again
+    work = [np.empty_like(rho) for _ in range(4)]
     cond, purs = [], []
     for _ in range(cfg.measurements):
-        out = _round(rho, left, right, e, leak)
+        out = _round(rho, left, right, e, leak, work)
         p = float(np.real(np.trace(out)))
         if not p >= EXTINCTION_FLOOR:
             break
         out /= p
-        rho = out
+        work[3], rho = rho, out
         cond.append(p)
         purs.append(purity(rho))
     return Trajectory(
         conditional_p=np.array(cond),
         cumulative_p=np.cumprod(cond),
         purity=np.array(purs),
-        final_rho=from_magic(rho, basis),
+        state=rho,
+        basis=basis,
     )

@@ -13,9 +13,9 @@ each factor is one 2-D gemm that contracts the leading run of spins and
 moves its new index to the back, so it returns the product transposed.
 A round on the block and the dense engine's rho rounds both use it.
 Pair RDMs come from the union of at most two runs, or from the pair alone
-when the union's reduced state would outgrow the block: one copy and one
-gemm reduce the block to those spins, and every pair inside is read from
-that.
+when the union's reduced state would outgrow the block: one copy of the
+block's real and imaginary parts and three real gemms reduce it to those
+spins, and every pair inside is read from that.
 The block is never renormalized, so its mean squared column norm after m
 rounds is the cumulative success probability P_m, free of cancellation,
 and a round's conditional p is the ratio of two consecutive ones. Memory
@@ -47,10 +47,11 @@ EXTINCTION_FLOOR = 1e-14
 
 # block-sized complex arrays alive at the engine's peak: the block, the
 # round's sum and the input and output of one factor's gemm. A pair RDM
-# holds three (the block, its reordered copy and that copy's conjugate)
-# plus the reduced state, which pair_rdms keeps within one block. Peaks
-# read with tracemalloc at N=16: 4.00 blocks at r = 16 and 4.06 at r = 1,
-# where the reduced state of 8 spins is itself one block.
+# holds two (the block, and its reordered real and imaginary parts of
+# half a block each) plus the reduced state, which pair_rdms keeps within
+# one block. Peaks read with tracemalloc at N=16: 4.00 blocks at r = 16
+# and 4.04 at r = 1, set by the rounds; all 120 pair RDMs peak at 2.07
+# and 3.05, where the reduced state of 8 spins is itself one block.
 BLOCKS = 4
 
 
@@ -79,13 +80,21 @@ def build_branch_operators(c: CouplingSet, tau: float, alpha: complex,
     return tuple(out)
 
 
-def apply_t(factors: list, z: np.ndarray) -> np.ndarray:
+def apply_t(factors: list, z: np.ndarray, out: tuple | None = None) -> np.ndarray:
     """((kron of factors) @ z)^T for a 2-D z, one 2-D gemm per factor:
     each contracts the leading run of spins and moves its new index to the
-    back, so after the last factor z's columns lead."""
+    back, so after the last factor z's columns lead. Each gemm allocates
+    its product, unless out gives two contiguous arrays of z's size and
+    the product's dtype, neither sharing z's memory: the gemms then write
+    them in turn, the last one out[0], which the result is a view of."""
     s = z
-    for f in factors:
-        s = s.reshape(len(f), -1).T @ f.T
+    for k, f in enumerate(factors):
+        x = s.reshape(len(f), -1).T
+        if out is None:
+            s = x @ f.T
+        else:
+            dest = out[(len(factors) - 1 - k) % 2].reshape(len(x), len(f))
+            s = np.matmul(x, f.T, out=dest)
     return s.reshape(z.shape[::-1])
 
 
@@ -173,13 +182,24 @@ def reduced_density_matrix(state: np.ndarray, i: int, j: int) -> np.ndarray:
 
 def _rdm_unnormalized(state: np.ndarray, spins: list) -> tuple[np.ndarray, float]:
     """(sum over columns of Tr_rest |psi><psi| on the sorted spins, its
-    trace): one copy moves those spins to the front as rows, and one gemm
-    of the rows with their adjoint contracts everything else."""
+    trace): the rows R + iI of the block with those spins moved to the
+    front, times their adjoint, contract everything else. R and I are two
+    half-size copies, and R R^T + I I^T and B - B^T with B = I R^T are
+    the real and imaginary parts of the product: no conjugated copy is
+    made, and numpy hands x @ x.T to a symmetric rank-k update."""
     n = state.shape[0].bit_length() - 1
     rest = [k for k in range(n + 1) if k not in spins]
     t = state.reshape((2,) * n + (-1,)).transpose(list(spins) + rest)
-    rows = np.ascontiguousarray(t).reshape(2 ** len(spins), -1)
-    rho = rows @ rows.conj().T
+    shape = (2 ** len(spins), -1)
+    re = np.ascontiguousarray(t.real).reshape(shape)
+    im = np.ascontiguousarray(t.imag).reshape(shape)
+    g = re @ re.T
+    g += im @ im.T
+    b = im @ re.T
+    del re, im                         # the reduced state takes their place
+    rho = g.astype(complex)
+    del g
+    np.subtract(b, b.T, out=rho.imag)
     return rho, float(np.trace(rho).real)
 
 

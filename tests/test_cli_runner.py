@@ -597,10 +597,11 @@ def test_scan_point_within_dense_memory_estimate(m):
 
 @pytest.mark.parametrize("m", [40, 100])
 def test_even_scan_point_within_dense_memory_estimate(m):
-    # an even bath squares a real V and rotates the state back (M=40), or
-    # steps real rounds below the floor (M=100)
+    # an even bath squares a real V (M=40), or steps real rounds from the
+    # real I/d below the floor (M=100), and reads its pairs in V's basis:
+    # no complex d x d matrix is formed
     import tracemalloc
-    from pairbath.dynamics_dense import DENSE_MATRICES
+    from pairbath.dynamics_dense import REAL_DENSE_MATRICES
     n = 8
     g = np.random.default_rng(26).normal(size=(n, 3)).tolist()
     tracemalloc.start()
@@ -610,7 +611,7 @@ def test_even_scan_point_within_dense_memory_estimate(m):
     finally:
         tracemalloc.stop()
     assert (cum < 1e-14) == (m == 100)
-    assert peak <= DENSE_MATRICES * 16 * 4**n
+    assert peak <= REAL_DENSE_MATRICES * 8 * 4**n
 
 
 def test_cli_import_loads_no_scipy():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pairbath.errors import ConfigError
+from pairbath.errors import CapacityError, ConfigError
 from pairbath.dynamics_factored import EXTINCTION_FLOOR
 from pairbath.spin_core import (
     SIGMA_X,
@@ -21,6 +21,7 @@ from pairbath.spin_core import (
 from pairbath.dynamics_dense import (
     DENSE_MATRICES,
     MAGIC,
+    REAL_DENSE_MATRICES,
     ProtocolConfig,
     all_pair_rdms,
     apply_projection,
@@ -704,8 +705,8 @@ def test_scan_point_squares_real_V_like_the_complex_one(alpha, beta):
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
 def test_even_run_within_dense_memory_estimate(rate):
-    # an even bath: a real rho and its rounds, then the rotation back to a
-    # complex state in the product basis
+    # an even bath from a start its caller passes: the complex change of
+    # basis into T, then a real rho and its rounds
     import tracemalloc
     n = 8
     c = CouplingSet(np.random.default_rng(26).normal(size=(n, 3)), 1.0)
@@ -717,3 +718,114 @@ def test_even_run_within_dense_memory_estimate(rate):
     finally:
         tracemalloc.stop()
     assert peak <= DENSE_MATRICES * 16 * 4**n
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_even_mixed_start_within_real_memory_estimate(rate):
+    # the mixed start of an even bath is a real I/d built in T, and the
+    # state stays there: no complex d x d matrix is formed
+    import tracemalloc
+    n = 8
+    c = CouplingSet(np.random.default_rng(26).normal(size=(n, 3)), 1.0)
+    cfg = ProtocolConfig(omega=1.0, tau=0.3, measurements=3, dephasing_rate=rate)
+    tracemalloc.start()
+    try:
+        traj = run_protocol(None, cfg, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.state.dtype == np.float64
+    assert peak <= REAL_DENSE_MATRICES * 8 * 4**n
+
+
+def test_real_starts_are_admitted_on_the_real_estimate(monkeypatch):
+    # with physical memory between the real and the complex estimate of
+    # N=8, a mixed-start even run is admitted; an odd one, and an even
+    # bath's start passed by its caller, are not
+    import pairbath.errors
+    have = (REAL_DENSE_MATRICES * 8 + DENSE_MATRICES * 16) * 4**8 // 2
+    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}
+    monkeypatch.setattr(pairbath.errors.os, "sysconf", sizes.__getitem__)
+    c = CouplingSet(np.random.default_rng(26).normal(size=(8, 3)), 1.0)
+    cfg = ProtocolConfig(omega=1.0, tau=0.3, measurements=2)
+    assert run_protocol(None, cfg, c).steps == 2
+    conditional_operator(c, 0.3)
+    with pytest.raises(CapacityError,
+                       match=rf"{DENSE_MATRICES} matrices of 2\^8 x 2\^8 complex"):
+        run_protocol(np.eye(256) / 256, cfg, c)
+    with pytest.raises(CapacityError):
+        maximally_mixed(8)
+    odd = CouplingSet(np.random.default_rng(26).normal(size=(9, 3)), 1.0)
+    sizes["SC_PHYS_PAGES"] = REAL_DENSE_MATRICES * 8 * 4**9
+    with pytest.raises(CapacityError):
+        run_protocol(None, cfg, odd)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_none_start_is_the_maximally_mixed_start(n, rate):
+    # I/d is I/d in every basis, so building it in T changes no bit of the
+    # rounds; only the final state's way back to the product basis differs
+    c, tau = _chain_bath(n, dimers=False)
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=30,
+                         dephasing_rate=rate / tau)
+    got = run_protocol(None, cfg, c)
+    want = run_protocol(maximally_mixed(n), cfg, c)
+    assert got.steps == want.steps == 30
+    for field in ("conditional_p", "cumulative_p", "purity"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert np.abs(got.final_rho - want.final_rho).max() <= 1e-15
+    assert (got.basis is None) == (n % 2 == 1)
+    assert got.state.dtype == (np.complex128 if n % 2 else np.float64)
+
+
+def _random_real_symmetric(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    rho = a @ a.T
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_pairs_read_in_the_magic_basis_match_the_rotated_state(n):
+    # each pair is read from the one or two magic pairs that hold it, as
+    # the pair of the whole state rotated back to the product basis
+    basis = magic_basis(n)
+    rng = np.random.default_rng(90 + n)
+    for _ in range(3):
+        rho = _random_real_symmetric(rng, 2**n)
+        got = all_pair_rdms(rho, n, basis)
+        want = all_pair_rdms(from_magic(rho, basis), n)
+        assert list(got) == list(want)
+        for key in want:
+            assert np.abs(got[key] - want[key]).max() <= 1e-13
+
+
+def test_pairs_read_in_the_magic_basis_after_singlet_rounds():
+    c, tau = _chain_bath(6, dimers=True)
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=20)
+    traj = run_protocol(_singlet_product(6), cfg, c)
+    assert traj.state.dtype == np.float64
+    got = all_pair_rdms(traj.state, 6, traj.basis)
+    want = all_pair_rdms(traj.final_rho, 6)
+    for key in want:
+        assert np.abs(got[key] - want[key]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_from_magic_never_writes_its_argument(n):
+    # final_rho rotates the stored state on every read, which must stay
+    # as the run left it, in either basis
+    c, tau = _chain_bath(n, dimers=False)
+    cfg = ProtocolConfig(omega=c.omega, tau=tau, measurements=5)
+    traj = run_protocol(_random_mixed(np.random.default_rng(95), 2**n), cfg, c)
+    kept = traj.state.copy()
+    first = traj.final_rho
+    assert np.array_equal(traj.state, kept)
+    assert first is not traj.state
+    assert np.array_equal(traj.final_rho, first)
+    assert np.array_equal(first, first.conj().T)
+    rho = _random_mixed(np.random.default_rng(96), 2**n)
+    rho += 1e-3j * np.eye(2**n)            # not Hermitian
+    kept = rho.copy()
+    from_magic(rho, None)
+    assert np.array_equal(rho, kept)

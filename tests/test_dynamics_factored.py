@@ -115,6 +115,21 @@ def test_fused_application_matches_dense():
     assert np.abs(got - (dense[0] + dense[1]) @ block).max() < 1e-12
 
 
+def test_apply_t_writes_the_given_arrays():
+    # with two arrays to write, every gemm lands in them, the last in the
+    # first, and the product is the one apply_t allocates, bit for bit
+    rng = np.random.default_rng(39)
+    n = 7
+    block = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+    c = CouplingSet(rng.normal(0, 1.0, (n, 3)), 0.7)
+    for bounds in ([0, 7], [0, 3, 7], [0, 1, 3, 5, 7], list(range(8))):
+        factors = build_branch_operators(c, 0.45, 0.6, 0.8j, bounds)[0]
+        out = (np.empty_like(block), np.empty_like(block))
+        got = apply_t(factors, block, out)
+        assert np.array_equal(got, apply_t(factors, block))
+        assert got.shape == (3, 2**n) and np.shares_memory(got, out[0])
+
+
 def test_one_run_builds_the_dense_operators():
     # bounds [0, N]: one factor per branch, exactly |w|^2 kron(U), which
     # build_V sums
